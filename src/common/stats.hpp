@@ -32,6 +32,12 @@ class Average {
     sum_ += v;
     ++count_;
   }
+  /// `n` samples of the same value at once (bit-identical to n sample(v)
+  /// calls while v * n and the sum stay exactly representable, e.g. integers).
+  void sample(double v, u64 n) {
+    sum_ += v * static_cast<double>(n);
+    count_ += n;
+  }
   void reset() {
     sum_ = 0;
     count_ = 0;

@@ -1,6 +1,7 @@
 #include "rob/allocation_policy.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace tlrob {
 
@@ -150,17 +151,29 @@ void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
   maybe_release(tid, now);
 }
 
-bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
-  ReorderBuffer& rob = *robs_[tid];
-  DynInst* load = rob.find(c.tseq);
-  if (load == nullptr || load->executed) return true;  // gone or filled
+TwoLevelRobController::Decision TwoLevelRobController::decide(ThreadId tid,
+                                                              const Candidate& c,
+                                                              Cycle now) const {
+  const ReorderBuffer& rob = *robs_[tid];
+  const DynInst* load = rob.find(c.tseq);
+  // Gone (committed or squashed) or filled: nothing left to decide.
+  if (load == nullptr || load->executed) return {Verdict::kRetire, 0, kNeverCycle};
 
-  const bool can_acquire_fresh = second_.available() && now >= threads_[tid].cooldown_until;
-  const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
-  if (!can_acquire_fresh && !can_renew) {
-    c.next_check = now + cfg_.recheck_interval;
-    return false;
+  // Time gates: a free partition opens once the cooldown has passed; the
+  // holder's own partition stays renewable until the lease limit. A partition
+  // held by another thread stays closed until a release, which is activity.
+  bool gate_open = false;
+  Cycle stable_until = kNeverCycle;
+  if (second_.available()) {
+    const Cycle cooldown_until = threads_[tid].cooldown_until;
+    gate_open = now >= cooldown_until;
+    if (!gate_open) stable_until = cooldown_until;
+  } else if (second_.owned_by(tid)) {
+    const Cycle lease_end = second_.acquired_at() + cfg_.lease_limit;
+    gate_open = now < lease_end;
+    if (gate_open) stable_until = lease_end;
   }
+  if (!gate_open) return {Verdict::kDefer, 0, stable_until};
 
   bool conditions = true;
   if (cfg_.scheme == RobScheme::kReactive) {
@@ -169,19 +182,52 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
     conditions = rob.head() == load;  // "full" requirement dropped
   }
   // kCdr: no positional requirements; the snapshot delay gated first_check.
+  if (!conditions) return {Verdict::kDefer, 0, stable_until};
 
-  if (conditions) {
-    const u32 dod = dod_count(tid, c.tseq);
-    avg_dod_at_decision_->sample(static_cast<double>(dod));
-    if (dod < cfg_.dod_threshold) {
+  // A high count can shrink as independent work executes; the caller keeps
+  // re-checking while the miss is outstanding.
+  const u32 dod = dod_count(tid, c.tseq);
+  return {dod < cfg_.dod_threshold ? Verdict::kAcquire : Verdict::kReject, dod, stable_until};
+}
+
+template <class OnDeferrals>
+Cycle TwoLevelRobController::foresee(ThreadId tid, const Candidate& c, Cycle to,
+                                     OnDeferrals&& on_deferrals) const {
+  // Each piece costs one decide(): at most one piece has its gate open (the
+  // cooldown only opens, the lease only closes), so at most one DoD scan.
+  const Cycle step = recheck_step();
+  Cycle t = c.next_check;
+  while (t < to) {
+    const Decision d = decide(tid, c, t);
+    if (d.verdict == Verdict::kRetire || d.verdict == Verdict::kAcquire) return t;
+    const Cycle end = std::min(to, d.stable_until);
+    if (end == kNeverCycle) return kNeverCycle;  // deferred until something happens
+    const Cycle span = end - t;
+    const u64 k = span / step + (span % step != 0);  // grid points in [t, end)
+    if (k > (kNeverCycle - t) / step) return kNeverCycle;  // past the clock's range
+    on_deferrals(d, k);
+    t += k * step;
+  }
+  return t;
+}
+
+bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
+  const Decision d = decide(tid, c, now);
+  switch (d.verdict) {
+    case Verdict::kRetire:
+      return true;
+    case Verdict::kAcquire:
+      avg_dod_at_decision_->sample(static_cast<double>(d.dod));
       acquire(tid, c.tseq, now);
       return true;  // decision made; candidate retired
-    }
-    cnt_rejected_high_dod_->inc();
-    // A high count can shrink as independent work executes; keep re-checking
-    // while the miss is outstanding.
+    case Verdict::kReject:
+      avg_dod_at_decision_->sample(static_cast<double>(d.dod));
+      cnt_rejected_high_dod_->inc();
+      break;
+    case Verdict::kDefer:
+      break;
   }
-  c.next_check = now + cfg_.recheck_interval;
+  c.next_check = now + recheck_step();
   return false;
 }
 
@@ -266,9 +312,31 @@ Cycle TwoLevelRobController::next_wake(Cycle now) const {
       break;
   }
   Cycle best = kNeverCycle;
-  for (const ThreadState& ts : threads_)
-    for (const Candidate& c : ts.cands) best = std::min(best, c.next_check);
+  for (u32 tid = 0; tid < threads_.size(); ++tid)
+    for (const Candidate& c : threads_[tid].cands)
+      best = std::min(best, foresee(static_cast<ThreadId>(tid), c, best,
+                                    [](const Decision&, u64) {}));
   return best;
+}
+
+void TwoLevelRobController::replay_idle(Cycle to) {
+  // Only reactive candidates are on a re-check grid (predictive ones carry
+  // next_check = kNeverCycle; the other schemes register none). Deferrals
+  // touch no state but next_check and the two statistics, so applying them
+  // per piece (k at once) is exact: the DoD is an integer, so the average's
+  // sum stays bit-identical to k separate samples.
+  next_check_floor_ = kNeverCycle;
+  for (u32 tid = 0; tid < threads_.size(); ++tid) {
+    for (Candidate& c : threads_[tid].cands) {
+      c.next_check = foresee(static_cast<ThreadId>(tid), c, to, [&](const Decision& d, u64 k) {
+        if (d.verdict != Verdict::kReject) return;
+        cnt_rejected_high_dod_->inc(k);
+        avg_dod_at_decision_->sample(static_cast<double>(d.dod), k);
+      });
+      assert(c.next_check >= to && "replay_idle skipped past a re-check that acts");
+      next_check_floor_ = std::min(next_check_floor_, c.next_check);
+    }
+  }
 }
 
 void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {

@@ -22,6 +22,7 @@
 // missing load (ReorderBuffer::count_unexecuted_younger).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -101,12 +102,22 @@ class TwoLevelRobController {
   bool tick(Cycle now);
 
   /// Earliest future cycle at which tick() could act without any new
-  /// notification arriving first: the next due candidate re-check (reactive
-  /// variants), the next phase-classification boundary (kAdaptive), or
-  /// kNeverCycle (baseline / predictive, which act only on notifications).
-  /// Pure time-gates only — state-driven work (lease release on drain) is
-  /// triggered by commits/fills, which are activity in their own right.
+  /// notification arriving first, assuming the core stays quiescent until
+  /// then: the first re-check grid point at which some reactive candidate
+  /// would be retired or acquire the partition, the next phase-classification
+  /// boundary (kAdaptive), or kNeverCycle (baseline / predictive, which act
+  /// only on notifications). While the core is quiescent every input of a
+  /// re-check is frozen except the cooldown and lease-limit time gates, so
+  /// the deferrals in between are foreseeable and replay_idle() applies
+  /// them. State-driven work (lease release on drain) is triggered by
+  /// commits/fills, which are activity in their own right.
   Cycle next_wake(Cycle now) const;
+
+  /// Applies the re-checks the quiescent cycles before `to` would have made
+  /// (`to` must not pass next_wake()): each candidate's deferrals are counted
+  /// one constant-outcome piece at a time and its next_check moves to the
+  /// first grid point at or after `to`.
+  void replay_idle(Cycle to);
 
   /// Squash hook: drops candidates of `tid` younger than `tseq`.
   void on_squash(ThreadId tid, u64 tseq);
@@ -144,9 +155,35 @@ class TwoLevelRobController {
     u32 adaptive_extra = 0;    // kAdaptive: current growth above level 1
   };
 
+  /// What evaluate() does with a candidate at one re-check.
+  enum class Verdict : u8 {
+    kRetire,   // load gone or filled: candidate dropped
+    kAcquire,  // conditions hold and the DoD is low: partition granted
+    kReject,   // conditions hold but the DoD is high: counted deferral
+    kDefer,    // a time gate or a positional condition fails: silent deferral
+  };
+  struct Decision {
+    Verdict verdict;
+    u32 dod;             // kAcquire / kReject: the counted DoD
+    Cycle stable_until;  // next time gate at which the verdict may change
+  };
+
+  /// The pure re-check decision for `c` at cycle `now`. Only the cooldown and
+  /// lease-limit gates depend on `now`; `stable_until` names the next one.
+  Decision decide(ThreadId tid, const Candidate& c, Cycle now) const;
+  /// Walks `c`'s re-check grid from c.next_check up to `to` assuming the
+  /// core stays quiescent, calling on_deferrals(decision, k) once per piece
+  /// of k equal deferrals. Returns the first grid point at which evaluate()
+  /// would act, or else the first grid point at or after `to` (kNeverCycle
+  /// when `to` is kNeverCycle and the candidate is deferred forever).
+  template <class OnDeferrals>
+  Cycle foresee(ThreadId tid, const Candidate& c, Cycle to, OnDeferrals&& on_deferrals) const;
+  /// Re-check spacing; an interval of 0 re-checks every cycle.
+  Cycle recheck_step() const { return std::max<Cycle>(cfg_.recheck_interval, 1); }
+
   /// Evaluates one candidate; returns true if it should be dropped (a drop
   /// — retirement or acquisition — always counts as tick() activity; a
-  /// deferral only moves next_check, which next_wake() reports).
+  /// deferral only moves next_check, which next_wake() foresees).
   bool evaluate(ThreadId tid, Candidate& c, Cycle now);
   /// kAdaptive: periodic per-thread grow/shrink decision (ref [23]).
   /// Returns true iff any partition actually grew or shrank.

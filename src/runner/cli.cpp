@@ -35,8 +35,10 @@ Options parse_cli_args(int argc, const char* const* argv) {
       size_t dashes = 0;
       while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
       const std::string key = normalise_key(tok.substr(dashes));
-      const bool next_is_value = i + 1 < argc && argv[i + 1][0] != '-' &&
-                                 std::string(argv[i + 1]).find('=') == std::string::npos;
+      // A lone "-" is a value (stdout for --json/--csv), not a flag.
+      const bool next_is_value =
+          i + 1 < argc && (argv[i + 1][0] != '-' || std::string(argv[i + 1]) == "-") &&
+          std::string(argv[i + 1]).find('=') == std::string::npos;
       if (!is_bare_flag(key) && next_is_value) {
         tokens.push_back(key + "=" + argv[++i]);
         continue;
@@ -222,6 +224,9 @@ int run_from_options(const std::string& preset, const Options& opts) {
     popts.workload = opts.get("workload", "");
     popts.parallel_cores = parallel;
     popts.parallel_quantum = static_cast<u32>(opts.get_u64("parallel_quantum", 0));
+    if (opts.has("seed")) popts.seed = opts.get_u64("seed", 0);
+    popts.per_job_seeds = opts.get_bool("per_job_seeds", false);
+    popts.max_cycles = opts.get_u64("max_cycles", 0);
     popts.notes = notes;
     result = run_preset(preset, popts);
     campaign_name = preset;

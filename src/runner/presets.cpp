@@ -417,6 +417,9 @@ CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
   }
   spec.sample_interval = opts.sample_interval;
   spec.sample_dir = opts.sample_dir;
+  if (opts.seed) spec.seed = *opts.seed;
+  if (opts.per_job_seeds) spec.per_job_seeds = true;
+  if (opts.max_cycles != 0) spec.max_cycles = opts.max_cycles;
   if (opts.parallel_cores != 0 || opts.parallel_quantum != 0) {
     for (auto& c : spec.columns) {
       c.config.parallel_cores = opts.parallel_cores;

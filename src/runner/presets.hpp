@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,11 @@ struct PresetOptions {
   /// bit-identical to the serial engine. Applied uniformly to all columns.
   u32 parallel_cores = 0;
   u32 parallel_quantum = 0;  // epoch quantum override, 0 = engine default
+  /// CampaignSpec seeding and cycle cap overrides (campaign.hpp semantics).
+  /// Unset / false / 0 keep the preset's own values.
+  std::optional<u64> seed;
+  bool per_job_seeds = false;
+  u64 max_cycles = 0;
   /// Manifest annotations forwarded to EngineOptions::notes.
   std::vector<std::string> notes;
 };

@@ -1056,7 +1056,8 @@ Cycle SmtCore::cmp_idle_wake(Cycle limit) const {
   //   - the next scheduled event (fills, completions, wake markers),
   //   - a frontend head reaching decode maturity,
   //   - a fetch stall (I-cache miss / post-squash redirect) expiring,
-  //   - the controller's next due re-check or phase boundary.
+  //   - the first controller re-check that would act (acquire or retire)
+  //     rather than defer, or the next adaptive phase boundary.
   // (Nothing memory-side: the latency-chain model resolves every LLC/DRAM
   // access at issue time, so the shared backend never wakes a core on its
   // own — the completion is already in this core's wheel.)
@@ -1106,6 +1107,7 @@ void SmtCore::cmp_replay_idle_to(Cycle wake) {
   cnt_stall_dcra_->inc((cnt_stall_dcra_->value() - ff_base_[5]) * skipped);
   cnt_fetch_policy_gated_->inc((cnt_fetch_policy_gated_->value() - ff_base_[6]) * skipped);
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
+  rob_ctrl_->replay_idle(wake);  // the deferring re-checks the skipped ticks made
   fast_forwarded_ += skipped;
   cycle_ = wake;
 }

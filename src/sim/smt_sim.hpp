@@ -18,10 +18,10 @@
 // slabs; and run() fast-forwards runs of provably idle cycles — every stage
 // reports whether it changed state, and when none did, the core jumps
 // straight to the next cycle at which anything *can* happen (next scheduled
-// event, next frontend-head maturity, next fetch-stall expiry, next
-// controller re-check), replaying the per-cycle stall counters for the
-// skipped distance. Statistics are bit-identical to the cycle-by-cycle
-// execution; tests/golden pins that.
+// event, next frontend-head maturity, next fetch-stall expiry, first
+// controller re-check that would act), replaying the per-cycle stall
+// counters and the deferring re-checks for the skipped distance. Statistics
+// are bit-identical to the cycle-by-cycle execution; tests/golden pins that.
 #pragma once
 
 #include <chrono>  // tlrob-lint: allow(D2) host self-profiler time source, never architectural state
@@ -165,9 +165,9 @@ class SmtCore {
   /// After an idle cmp_tick(): the earliest future cycle anything can happen
   /// at on this core, bounded by `limit`. A result <= now() means no skip.
   Cycle cmp_idle_wake(Cycle limit) const;
-  /// Jumps the core to `wake`, replaying per-cycle stall counters and sample
-  /// points for the skipped distance (wake must not exceed this core's
-  /// cmp_idle_wake bound).
+  /// Jumps the core to `wake`, replaying per-cycle stall counters, sample
+  /// points and the ROB controller's deferring re-checks for the skipped
+  /// distance (wake must not exceed this core's cmp_idle_wake bound).
   void cmp_replay_idle_to(Cycle wake);
   /// Overrides the fast-forwarded-cycle count. The parallel CMP engine skips
   /// per-core spans the serial engine only skips machine-wide; it reconstructs

@@ -375,6 +375,86 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
   EXPECT_FALSE(second_.owned_by(0)) << "cooldown must block re-acquisition";
 }
 
+// While the core is quiescent, next_wake() reports only a re-check that
+// would act; replay_idle() applies the deferrals the skipped ticks made.
+
+TEST_F(ControllerTest, NextWakeSkipsRejectionsAndReplayCountsThem) {
+  auto ctrl = make(RobScheme::kReactive, 16);
+  DynInst& load = fill_rob0_with_miss(/*unexec=*/20);
+  ctrl.on_l2_miss_detected(load, 100);
+  ctrl.tick(100);  // rejected: DoD 20 >= 16
+  ASSERT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 1u);
+  // Nothing time-gated can change the verdict: only a notification can.
+  EXPECT_EQ(ctrl.next_wake(100), kNeverCycle);
+  ctrl.replay_idle(175);  // the re-checks at 110, 120, ..., 170
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 8u);
+  ctrl.tick(175);  // between grid points: nothing due
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 8u);
+  ctrl.tick(180);
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 9u);
+}
+
+TEST_F(ControllerTest, ReplayStopsCountingRenewalRejectionsAtTheLeaseLimit) {
+  auto ctrl = make(RobScheme::kReactive, 16);  // lease 1000
+  DynInst& trigger = fill_rob0_with_miss(/*unexec=*/5);
+  ctrl.on_l2_miss_detected(trigger, 100);
+  ctrl.tick(100);
+  ASSERT_TRUE(second_.owned_by(0));
+  // The trigger completes and retires with its first-level window; a second
+  // missing load is now the head of a window still spilling into the
+  // partition (41 entries), with 31 unexecuted instructions behind it.
+  rob0_.head()->executed = true;
+  DynInst renewal = make_inst(next_tseq_++, false, OpClass::kLoad);
+  renewal.si = &load_si_;
+  renewal.is_l2_miss = true;
+  rob0_.push(std::move(renewal));
+  for (u32 i = 0; i < 40; ++i) rob0_.push(make_inst(next_tseq_++, false));
+  for (u32 i = 0; i < 32; ++i) rob0_.pop_head();
+  ctrl.on_l2_miss_detected(*rob0_.head(), 200);
+  ctrl.tick(200);  // renewal rejected (DoD 31); the holder starts draining
+  ASSERT_TRUE(second_.owned_by(0));
+  ASSERT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 1u);
+
+  // Rejections until the lease ends at 1100, silent deferrals after it.
+  EXPECT_EQ(ctrl.next_wake(200), kNeverCycle);
+  ctrl.replay_idle(1500);
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 1u + 89u);  // 210..1090
+  ctrl.tick(1500);
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 90u);
+  EXPECT_TRUE(second_.owned_by(0));
+}
+
+TEST_F(ControllerTest, NextWakeIsTheFirstRecheckAfterTheCooldown) {
+  auto ctrl = make(RobScheme::kReactive, 16);  // cooldown 500
+  DynInst& load = fill_rob0_with_miss(/*unexec=*/5);
+  ctrl.on_l2_miss_detected(load, 100);
+  ctrl.tick(100);
+  ASSERT_TRUE(second_.owned_by(0));
+
+  // Thread 1 has a candidate pending that never qualifies (its first level
+  // is not full), so thread 0's release is contended and starts a cooldown.
+  DynInst l1 = make_inst(1, false, OpClass::kLoad);
+  l1.si = &load_si_;
+  l1.tid = 1;
+  l1.is_l2_miss = true;
+  ctrl.on_l2_miss_detected(rob1_.push(std::move(l1)), 150);
+  load.executed = true;
+  while (!rob0_.empty()) rob0_.pop_head();
+  ctrl.tick(160);  // release at 160: thread 0 cools down until 660
+  ASSERT_TRUE(second_.available());
+
+  DynInst& again = fill_rob0_with_miss(/*unexec=*/5);
+  ctrl.on_l2_miss_detected(again, 165);
+  ctrl.tick(165);  // deferred by the cooldown; next re-checks 175, 185, ...
+  ASSERT_TRUE(second_.available());
+  EXPECT_EQ(ctrl.next_wake(165), 665u);  // first re-check at or after 660
+  ctrl.replay_idle(665);
+  EXPECT_TRUE(second_.available());
+  ctrl.tick(665);
+  EXPECT_TRUE(second_.owned_by(0));
+  EXPECT_EQ(ctrl.stats().counter_value("rejected_high_dod"), 0u);
+}
+
 TEST_F(ControllerTest, SquashDropsCandidates) {
   auto ctrl = make(RobScheme::kReactive, 16);
   DynInst& load = fill_rob0_with_miss(/*unexec=*/20);  // rejected, stays pending

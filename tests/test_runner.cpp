@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -375,6 +376,66 @@ TEST(RunnerCli, ParsesMixedOptionForms) {
   EXPECT_EQ(opts.get_u64("max_cycles", 0), 123u);
   ASSERT_EQ(opts.positional().size(), 1u);
   EXPECT_EQ(opts.positional()[0], "fig2");
+}
+
+TEST(RunnerCli, LoneDashIsASinkPathNotAFlag) {
+  const char* argv[] = {"prog", "fig1", "--json", "-", "--csv", "-", "--no-render"};
+  const Options opts = parse_cli_args(7, argv);
+  EXPECT_EQ(opts.get("json", ""), "-");
+  EXPECT_EQ(opts.get("csv", ""), "-");
+  EXPECT_TRUE(opts.get_bool("no_render", false));
+  ASSERT_EQ(opts.positional().size(), 1u);
+  EXPECT_EQ(opts.positional()[0], "fig1");
+}
+
+/// Runs `preset` through the CLI front end with the given extra arguments
+/// and `--json - --no-render` at a short length; returns the stdout records.
+std::vector<std::string> preset_records(const std::string& preset,
+                                        std::vector<const char*> extra) {
+  std::vector<const char*> argv = {"prog",    preset.c_str(), "--json", "-", "--no-render",
+                                   "--insts", "1000",         "--warmup", "200"};
+  argv.insert(argv.end(), extra.begin(), extra.end());
+  const Options opts = parse_cli_args(static_cast<int>(argv.size()), argv.data());
+  std::ostringstream captured;
+  std::streambuf* saved = std::cout.rdbuf(captured.rdbuf());
+  const int code = run_from_options(preset, opts);
+  std::cout.rdbuf(saved);
+  EXPECT_EQ(code, 0);
+  std::vector<std::string> lines;
+  std::istringstream in(captured.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(RunnerCli, SpaceFormJsonDashWritesRecordsToStdout) {
+  const std::vector<std::string> lines = preset_records("fig1", {});
+  ASSERT_EQ(lines.size(), 11u);  // one record per fig1 cell
+  for (const std::string& line : lines) EXPECT_EQ(line.rfind("{\"job\":", 0), 0u) << line;
+}
+
+TEST(RunnerCli, PresetsHonourSeedPerJobSeedsAndMaxCycles) {
+  const std::vector<std::string> seeded = preset_records("fig2", {"--seed", "7"});
+  ASSERT_EQ(seeded.size(), 33u);
+  for (const std::string& line : seeded)
+    EXPECT_NE(line.find("\"seed\":7,"), std::string::npos) << line;
+
+  // Without the options the preset keeps its own seed and cap.
+  for (const std::string& line : preset_records("fig1", {})) {
+    EXPECT_NE(line.find("\"seed\":12345,"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"max_cycles\":0,"), std::string::npos) << line;
+  }
+
+  auto seed_of = [](const std::string& line) {
+    const size_t at = line.find("\"seed\":");
+    return at == std::string::npos ? std::string() : line.substr(at, line.find(',', at) - at);
+  };
+  const std::vector<std::string> per_job = preset_records("fig1", {"--per-job-seeds"});
+  ASSERT_GE(per_job.size(), 2u);
+  EXPECT_NE(seed_of(per_job[0]), "\"seed\":12345");
+  EXPECT_NE(seed_of(per_job[0]), seed_of(per_job[1]));
+
+  for (const std::string& line : preset_records("fig1", {"--max-cycles", "900000"}))
+    EXPECT_NE(line.find("\"max_cycles\":900000,"), std::string::npos) << line;
 }
 
 TEST(RunnerCli, CustomCampaignFromOptions) {
