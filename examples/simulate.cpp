@@ -3,6 +3,7 @@
 // statistic the core collects.
 //
 //   ./simulate [bench names ...] [mix=N] [machine knobs] [run knobs]
+//   ./simulate --help      (or -h) prints the usage and exits
 //
 // Workload selection: either positional SPEC profile names (1..N, one per
 // hardware thread, e.g. `./simulate art mgrid crafty parser`) or `mix=N`
@@ -49,8 +50,38 @@
 
 using namespace tlrob;
 
+namespace {
+
+void print_usage() {
+  std::printf(
+      "usage: simulate [bench names ...] [mix=N] [machine knobs] [run knobs]\n"
+      "\n"
+      "workload: positional SPEC profile names (one per hardware thread) or\n"
+      "          mix=N for a Table 2 mix (default mix=1)\n"
+      "run knobs:\n"
+      "  insts=N            committed-instruction target (default 120000)\n"
+      "  warmup=N           warmup commits excluded from statistics (default 60000)\n"
+      "  max_cycles=N       cycle cap (0 = derived bound)\n"
+      "  stats=0|1          dump every counter\n"
+      "  trace=START:END    pipeline event trace for that cycle window, to stderr\n"
+      "machine knobs: see src/sim/config_override.hpp (scheme=, threshold=,\n"
+      "  policy=, rob1=, rob2=, l2_kb=, mem_lat=, seed=, cores=, llc=, dram=, ...)\n"
+      "observability knobs:\n"
+      "  sample=N           interval telemetry every N cycles\n"
+      "  sample_out=PATH    series as JSON lines ('-' = stdout)\n"
+      "  sample_csv=PATH    series as CSV ('-' = stdout)\n"
+      "  trace_json=PATH    Chrome trace-event JSON\n"
+      "  profile=1          host-side per-stage wall-time profile, to stderr\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const Options opts = Options::from_args(argc, argv);
+  if (opts.has("help") || opts.has("h")) {
+    print_usage();
+    return 0;
+  }
 
   // --- workload ------------------------------------------------------------
   std::vector<Benchmark> benches;

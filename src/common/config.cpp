@@ -63,6 +63,13 @@ std::vector<std::string> Options::get_list(const std::string& key) const {
   return out;
 }
 
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 bool Options::get_bool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;

@@ -39,6 +39,9 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Every key that was set, in sorted order.
+  std::vector<std::string> keys() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

@@ -1,6 +1,7 @@
 #include "runner/cli.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -17,7 +18,7 @@ namespace {
 /// Flags that never take a following-token value.
 bool is_bare_flag(const std::string& key) {
   return key == "resume" || key == "per_job_seeds" || key == "no_render" ||
-         key == "list" || key == "help" || key == "allow_oversubscribe";
+         key == "list" || key == "help";
 }
 
 std::string normalise_key(std::string key) {
@@ -76,6 +77,29 @@ ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
   return {prefix + std::to_string(threshold), two_level_config(kind, threshold), 0};
 }
 
+/// Options every campaign reads.
+constexpr std::array<const char*, 14> kRunKeys = {
+    "jobs",       "insts",      "warmup", "json",          "csv",
+    "manifest",   "resume",     "seed",   "per_job_seeds", "no_render",
+    "max_cycles", "sample_dir", "workload", "sample_interval"};
+/// Options only a custom sweep reads: a preset brings its own columns and
+/// mixes.
+constexpr std::array<const char*, 8> kCustomSweepKeys = {
+    "schemes", "thresholds", "mixes", "name", "cores", "llc", "dram", "force_cmp"};
+
+/// The option keys in `opts` that a run of `preset` (empty = custom sweep)
+/// never reads.
+std::vector<std::string> unused_options(const std::string& preset, const Options& opts) {
+  auto listed = [](const auto& keys, const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  std::vector<std::string> unused;
+  for (const std::string& key : opts.keys())
+    if (!listed(kRunKeys, key) && (!preset.empty() || !listed(kCustomSweepKeys, key)))
+      unused.push_back(key);
+  return unused;
+}
+
 }  // namespace
 
 CampaignSpec custom_campaign(const Options& opts) {
@@ -113,13 +137,6 @@ CampaignSpec custom_campaign(const Options& opts) {
     if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
     if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
     c.config.force_cmp_engine = opts.get_bool("force_cmp", c.config.force_cmp_engine);
-    // --parallel-cores[=N]: any nonzero value turns the parallel CMP engine
-    // on (the machine always uses one worker per core; N only declares the
-    // per-job width to the thread-budget heuristic in run_from_options).
-    c.config.parallel_cores =
-        static_cast<u32>(opts.get_u64("parallel_cores", c.config.parallel_cores));
-    c.config.parallel_quantum =
-        static_cast<u32>(opts.get_u64("parallel_quantum", c.config.parallel_quantum));
   }
 
   const std::string workload = opts.get("workload", "");
@@ -156,6 +173,20 @@ CampaignSpec custom_campaign(const Options& opts) {
 }
 
 int run_from_options(const std::string& preset, const Options& opts) {
+  // Reject, before any cell runs, every option this run would not read: a
+  // misspelt or retired flag must not quietly fall back to a default.
+  const std::vector<std::string> unused = unused_options(preset, opts);
+  if (!unused.empty()) {
+    std::cerr << "error: " << (preset.empty() ? "a custom sweep" : "preset " + preset)
+              << " does not use option" << (unused.size() == 1 ? "" : "s");
+    for (std::string key : unused) {
+      std::replace(key.begin(), key.end(), '_', '-');
+      std::cerr << " --" << key;
+    }
+    std::cerr << " (see tlrob-campaign --help)\n";
+    return 2;
+  }
+
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
   std::vector<std::unique_ptr<ResultSink>> owned;
@@ -179,35 +210,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
   if (opts.has("csv")) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
 
   const bool render = !opts.get_bool("no_render", false);
-  u32 jobs = WorkStealingPool::resolve_threads(
-      static_cast<u32>(opts.get_u64("jobs", 0)));
-
-  // Thread-budget guard: with --parallel-cores every in-flight job holds one
-  // worker thread per simulated core, so --jobs N multiplies. Clamp jobs to
-  // keep jobs x width within the hardware threads unless the user overrides
-  // with --allow-oversubscribe; either way results are bit-identical (only
-  // scheduling changes). The width declaration is the larger of the
-  // --parallel-cores value and --cores (presets carry their own core counts,
-  // which is why --parallel-cores takes an optional numeric value at all).
-  std::vector<std::string> notes;
-  const u32 parallel = static_cast<u32>(opts.get_u64("parallel_cores", 0));
-  if (parallel != 0) {
-    const u32 width = std::max(parallel, static_cast<u32>(opts.get_u64("cores", 1)));
-    const u32 hw = WorkStealingPool::resolve_threads(0);
-    if (width > 1 && static_cast<u64>(jobs) * width > hw &&
-        !opts.get_bool("allow_oversubscribe", false)) {
-      const u32 clamped = std::max<u32>(1, hw / width);
-      std::cerr << "warning: --jobs " << jobs << " x " << width
-                << " core workers per job exceeds " << hw
-                << " hardware threads; clamping to --jobs " << clamped
-                << " (--allow-oversubscribe keeps the requested value)\n";
-      notes.push_back(std::string("{\"note\":\"thread_budget\",\"requested_jobs\":") +
-                      std::to_string(jobs) + ",\"parallel_width\":" + std::to_string(width) +
-                      ",\"hw_threads\":" + std::to_string(hw) +
-                      ",\"clamped_jobs\":" + std::to_string(clamped) + "}");
-      jobs = clamped;
-    }
-  }
+  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
 
   CampaignResult result;
   std::string campaign_name;
@@ -222,12 +225,9 @@ int run_from_options(const std::string& preset, const Options& opts) {
     popts.sample_interval = opts.get_u64("sample_interval", 0);
     popts.sample_dir = opts.get("sample_dir", "");
     popts.workload = opts.get("workload", "");
-    popts.parallel_cores = parallel;
-    popts.parallel_quantum = static_cast<u32>(opts.get_u64("parallel_quantum", 0));
     if (opts.has("seed")) popts.seed = opts.get_u64("seed", 0);
     popts.per_job_seeds = opts.get_bool("per_job_seeds", false);
     popts.max_cycles = opts.get_u64("max_cycles", 0);
-    popts.notes = notes;
     result = run_preset(preset, popts);
     campaign_name = preset;
   } else {
@@ -236,7 +236,6 @@ int run_from_options(const std::string& preset, const Options& opts) {
     eng.jobs = jobs;
     eng.manifest_path = opts.get("manifest", "");
     eng.resume = opts.get_bool("resume", false);
-    eng.notes = notes;
     FtTableSink table(stdout);
     if (render) eng.sinks.push_back(&table);
     for (ResultSink* s : sinks) eng.sinks.push_back(s);

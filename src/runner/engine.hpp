@@ -40,12 +40,6 @@ struct EngineOptions {
   /// Replay successful cells found in the manifest instead of re-running
   /// them; failed cells are always retried.
   bool resume = false;
-
-  /// Structured annotations (pre-serialised JSON lines, e.g. the CLI's
-  /// thread-budget warning) journalled into the manifest right after it
-  /// opens. Not JobRecords: load_manifest skips lines it cannot parse, so
-  /// notes never poison a resume.
-  std::vector<std::string> notes;
 };
 
 struct CampaignResult {

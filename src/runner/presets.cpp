@@ -420,18 +420,11 @@ CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
   if (opts.seed) spec.seed = *opts.seed;
   if (opts.per_job_seeds) spec.per_job_seeds = true;
   if (opts.max_cycles != 0) spec.max_cycles = opts.max_cycles;
-  if (opts.parallel_cores != 0 || opts.parallel_quantum != 0) {
-    for (auto& c : spec.columns) {
-      c.config.parallel_cores = opts.parallel_cores;
-      c.config.parallel_quantum = opts.parallel_quantum;
-    }
-  }
 
   EngineOptions eng;
   eng.jobs = WorkStealingPool::resolve_threads(opts.jobs);
   eng.manifest_path = opts.manifest_path;
   eng.resume = opts.resume;
-  eng.notes = opts.notes;
 
   FtTableSink table(opts.out, preset.title == nullptr ? "" : preset.title);
   if (opts.render && preset.title != nullptr) eng.sinks.push_back(&table);

@@ -38,18 +38,11 @@ struct PresetOptions {
   /// on hardware thread i — and sizes every column's machine to match.
   /// Empty = the preset's own mixes.
   std::string workload;
-  /// Parallel CMP engine (MachineConfig::parallel_cores semantics): nonzero
-  /// runs every column's multi-core machines on one worker thread per core,
-  /// bit-identical to the serial engine. Applied uniformly to all columns.
-  u32 parallel_cores = 0;
-  u32 parallel_quantum = 0;  // epoch quantum override, 0 = engine default
   /// CampaignSpec seeding and cycle cap overrides (campaign.hpp semantics).
   /// Unset / false / 0 keep the preset's own values.
   std::optional<u64> seed;
   bool per_job_seeds = false;
   u64 max_cycles = 0;
-  /// Manifest annotations forwarded to EngineOptions::notes.
-  std::vector<std::string> notes;
 };
 
 /// All preset names, in presentation order.

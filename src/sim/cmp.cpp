@@ -1,128 +1,13 @@
 #include "sim/cmp.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <string>
 
-#include "common/sync.hpp"
-#include "common/thread_pool.hpp"
 #include "memory/shared_memory.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace tlrob {
-namespace {
-
-/// Default epoch quantum (cycles a core may run ahead between barriers).
-/// Scheduling granularity only — bit-identity holds for any value >= 1; this
-/// one amortises the barrier over enough work to matter while keeping the
-/// termination-horizon re-clamp frequent.
-constexpr Cycle kDefaultParallelQuantum = 8192;
-
-/// Per-core coverage log of the parallel epoch executor: which cycles the
-/// core executed busy, and which it proved idle (with the unclamped
-/// cmp_idle_wake bound the serial engine would have computed at any cycle of
-/// the span — idle state is quiescent, so the bound is span-constant).
-/// Workers append during an epoch; only the barrier thread reads (the pool's
-/// wait_idle() orders the two).
-struct CoverageSeg {
-  Cycle begin;
-  Cycle end;    // exclusive
-  Cycle bound;  // idle entries: the core's cmp_idle_wake(max_cycles) bound
-  bool idle;
-};
-
-/// Replays the serial engine's machine-wide fast-forward decision over the
-/// merged per-core coverage logs: the serial engine skips ahead only from a
-/// cycle EVERY core proved idle, jumping to the minimum of their wake
-/// bounds. The parallel engine skips per-core spans the serial engine would
-/// have executed (and vice versa) — all statistics are fast-forward-pattern
-/// independent by the replay contract except `core.fast_forwarded_cycles`,
-/// which this reconstruction restores exactly.
-class FfReconstructor {
- public:
-  FfReconstructor(u32 cores, Cycle start) : logs_(cores), pos_(cores, 0), cursor_(start) {}
-
-  std::vector<CoverageSeg>& log(u32 core) { return logs_[core]; }
-  u64 serial_ff() const { return serial_ff_; }
-
-  /// Consumes every cycle all cores have covered so far (call at barriers).
-  void drain() {
-    for (;;) {
-      bool all_idle = true;
-      Cycle wmin = kNeverCycle;
-      for (u32 i = 0; i < static_cast<u32>(logs_.size()); ++i) {
-        const std::vector<CoverageSeg>& v = logs_[i];
-        size_t& p = pos_[i];
-        while (p < v.size() && v[p].end <= cursor_) ++p;
-        if (p >= v.size() || v[p].begin > cursor_) {
-          prune();
-          return;  // cursor not covered by core i yet — resume next barrier
-        }
-        if (v[p].idle)
-          wmin = std::min(wmin, v[p].bound);
-        else
-          all_idle = false;
-      }
-      if (!all_idle || wmin <= cursor_ + 1) {
-        ++cursor_;  // serial executes this cycle (busy, or no skip possible)
-        continue;
-      }
-      serial_ff_ += wmin - (cursor_ + 1);  // serial replays (cursor, wmin)
-      cursor_ = wmin;
-    }
-  }
-
- private:
-  void prune() {
-    for (u32 i = 0; i < static_cast<u32>(logs_.size()); ++i) {
-      logs_[i].erase(logs_[i].begin(),
-                     logs_[i].begin() + static_cast<std::ptrdiff_t>(pos_[i]));
-      pos_[i] = 0;
-    }
-  }
-
-  std::vector<std::vector<CoverageSeg>> logs_;  // [core], consumed from pos_
-  std::vector<size_t> pos_;
-  Cycle cursor_;        // next serial cycle not yet accounted
-  u64 serial_ff_ = 0;   // machine-wide fast-forwarded cycles, serial semantics
-};
-
-/// One core's share of one epoch: advance to `e_end`, publishing the clock
-/// before every tick so shared-backend calls carry the key (cycle, core).
-/// Non-pinned cores log busy/idle coverage for the reconstruction; pinned
-/// machines (auditor / text tracer attached) run cycle-by-cycle and never
-/// fast-forward, exactly like the serial engine.
-void run_core_epoch(SmtCore& core, u32 i, CoreGate& gate, Cycle e_end, Cycle max_cycles,
-                    bool pinned, FfReconstructor* ff) {
-  if (pinned) {
-    while (core.now() < e_end) {
-      gate.advance(i, core.now());
-      core.tick();
-    }
-    return;
-  }
-  std::vector<CoverageSeg>& log = ff->log(i);
-  while (core.now() < e_end) {
-    const Cycle c = core.now();
-    gate.advance(i, c);
-    if (core.cmp_tick()) {
-      if (!log.empty() && !log.back().idle && log.back().end == c)
-        ++log.back().end;  // extend the busy run
-      else
-        log.push_back({c, c + 1, 0, false});
-    } else {
-      // The unclamped wake bound is what the serial engine would compute at
-      // any cycle of this idle span; the replay itself clamps to the epoch.
-      const Cycle wake = core.cmp_idle_wake(max_cycles);
-      const Cycle to = std::min(wake, e_end);
-      if (to > core.now()) core.cmp_replay_idle_to(to);
-      log.push_back({c, core.now(), wake, true});
-    }
-  }
-}
-
-}  // namespace
 
 CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks)
     : cfg_(cfg) {
@@ -231,8 +116,6 @@ RunResult CmpMachine::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
 
   if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
 
-  if (cfg_.parallel_cores != 0) return run_parallel(commit_target, max_cycles, warmup_insts);
-
   auto fastest_measured = [&] {
     u64 best = 0;
     for (const auto& c : cores_) best = std::max(best, c->fastest_measured());
@@ -244,94 +127,6 @@ RunResult CmpMachine::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
     reset_measurement();
   }
   while (now() < max_cycles && fastest_measured() < commit_target) step_all(max_cycles);
-  for (auto& c : cores_) c->flush_chrome_trace();
-  return snapshot_result();
-}
-
-RunResult CmpMachine::run_parallel(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
-  const u32 n = static_cast<u32>(cores_.size());
-
-  // The auditor / text tracer pin the serial machine to cycle-by-cycle
-  // execution; the parallel engine honours the same pin (no fast-forward, no
-  // coverage logs — fast_forwarded_ stays 0 on both engines).
-  bool pinned = false;
-  for (auto& c : cores_) pinned = pinned || c->cmp_pinned();
-
-  const Cycle quantum =
-      cfg_.parallel_quantum != 0 ? Cycle{cfg_.parallel_quantum} : kDefaultParallelQuantum;
-  const u64 commit_w = std::max<u64>(1, cfg_.commit_width);
-
-  CoreGate gate(n);
-  shared_->set_gate(&gate);  // multi-core machines always have a backend
-  FfReconstructor ff(n, now());
-  // One pinned worker per core: epoch tasks block inside CoreGate::sync()
-  // on each other, which is deadlock-free only while every task holds a
-  // worker simultaneously (see common/thread_pool.hpp).
-  WorkStealingPool pool(n);
-
-  auto fastest_measured = [&] {
-    u64 best = 0;
-    for (const auto& c : cores_) best = std::max(best, c->fastest_measured());
-    return best;
-  };
-
-  // One barrier-synchronized phase of the run loop. The epoch end E' clamps
-  // to the termination horizon frontier + ceil(remaining/commit_width): no
-  // core can reach the commit target strictly before E' (commits are bounded
-  // by commit_width per cycle), so the stop condition — checked only at
-  // barriers — first becomes true at exactly the cycle the serial loop, which
-  // checks it every step, stops at.
-  auto run_phase = [&](u64 target) {
-    while (now() < max_cycles && fastest_measured() < target) {
-      const Cycle frontier = now();
-      const u64 remaining = target - fastest_measured();
-      const u64 span = std::max<u64>(
-          1, std::min<u64>(quantum, (remaining + commit_w - 1) / commit_w));
-      const Cycle e_end = std::min<Cycle>(max_cycles, frontier + span);
-
-      std::vector<std::exception_ptr> errors(n);
-      for (u32 i = 0; i < n; ++i) {
-        pool.submit([this, &gate, &errors, &ff, i, e_end, max_cycles, pinned] {
-          try {
-            run_core_epoch(*cores_[i], i, gate, e_end, max_cycles, pinned,
-                           pinned ? nullptr : &ff);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-          // Publishing the epoch boundary is what lets every other core's
-          // last-cycle operations clear their sync() — required even on the
-          // exception path, or the surviving cores deadlock mid-barrier.
-          gate.advance(i, e_end);
-        });
-      }
-      pool.wait_idle();
-      for (std::exception_ptr& e : errors)
-        if (e) std::rethrow_exception(e);  // lowest core's failure wins
-      if (!pinned) ff.drain();
-    }
-  };
-
-  try {
-    if (warmup_insts > 0) {
-      run_phase(warmup_insts);
-      reset_measurement();  // all cores parked at the same barrier cycle
-    }
-    run_phase(commit_target);
-  } catch (...) {
-    // Detach before propagating (an audit abort, typically): later
-    // single-threaded accesses must not wait on clocks that stopped moving.
-    shared_->set_gate(nullptr);
-    throw;
-  }
-  shared_->set_gate(nullptr);
-
-  if (!pinned) {
-    ff.drain();
-    // The serial engine fast-forwards machine-wide, so every core carries
-    // the identical count; install the reconstructed value (the one quantity
-    // the per-core skip pattern perturbs).
-    for (auto& c : cores_) c->cmp_set_fast_forwarded(ff.serial_ff());
-  }
   for (auto& c : cores_) c->flush_chrome_trace();
   return snapshot_result();
 }

@@ -25,17 +25,11 @@
 // legacy engine by construction — the differential test in
 // tests/test_pool_fuzz.cpp pins the remaining plumbing.
 //
-// Parallel engine (cfg.parallel_cores != 0): run() executes the same
-// machine on one pinned worker thread per core, synchronized by a
-// deterministic epoch barrier at the shared-backend boundary. Each epoch,
-// every core advances privately up to min(epoch quantum, termination
-// horizon) cycles, re-using the exact cmp_tick / cmp_idle_wake /
-// cmp_replay_idle_to decomposition the serial engine drives; every
-// shared-backend call blocks in CoreGate::sync() until its (cycle, core)
-// key is the global minimum, so LLC/DRAM mutations apply in exactly the
-// serial lockstep order and results are bit-identical to the serial engine
-// (DESIGN.md §14 carries the full argument; tests/test_parallel_cmp.cpp
-// pins it differentially over every CMP preset).
+// The machine runs on one host thread. A parallel engine (one worker per
+// core behind a deterministic barrier at the shared-backend boundary) was
+// built and deleted: every LLC/DRAM access is a global (cycle, core)
+// handshake under the latency-chain model, so it never beat this loop.
+// Campaign-level `--jobs` is the parallelism (DESIGN.md §14).
 #pragma once
 
 #include <memory>
@@ -96,10 +90,6 @@ class CmpMachine {
   /// One lockstep cycle for all cores, fast-forwarding a globally idle
   /// machine (bounded by `limit`).
   void step_all(Cycle limit);
-  /// The epoch-parallel engine behind run() (cfg.parallel_cores != 0,
-  /// multi-core machines only). Same contract and bit-identical results;
-  /// max_cycles is already resolved by run().
-  RunResult run_parallel(u64 commit_target, u64 max_cycles, u64 warmup_insts);
   void reset_measurement();
   /// Adds the shared backend's llc.*/dram.* counter families to `r` (no-op
   /// without a backend).

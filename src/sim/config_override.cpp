@@ -123,11 +123,6 @@ MachineConfig apply_overrides(MachineConfig cfg, const Options& opts) {
   if (opts.has("llc")) apply_llc_spec(cfg.llc, opts.get("llc"));
   if (opts.has("dram")) apply_dram_spec(cfg.dram, opts.get("dram"));
   cfg.force_cmp_engine = opts.get_bool("force_cmp", cfg.force_cmp_engine);
-  // Parallel CMP engine: `parallel_cores` (bare flag = 1 = one worker per
-  // core; any nonzero value enables it, the number only feeds the runner's
-  // thread-budget heuristic) and the epoch quantum (0 = engine default).
-  u32opt("parallel_cores", cfg.parallel_cores);
-  u32opt("parallel_quantum", cfg.parallel_quantum);
 
   if (opts.has("audit")) cfg.audit.level = parse_audit_level(opts.get("audit"));
   cfg.audit.cheap_interval = opts.get_u64("audit_cheap_interval", cfg.audit.cheap_interval);

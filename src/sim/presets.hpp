@@ -28,19 +28,11 @@ struct MachineConfig {
   /// configs leave it off.
   bool force_cmp_engine = false;
 
-  /// Parallel CMP engine: nonzero runs CmpMachine's cores on worker threads
-  /// (always one pinned worker per core — the CoreGate barrier protocol
-  /// requires every core to hold a thread), synchronized at the shared
-  /// LLC/DRAM boundary so results are bit-identical to the serial lockstep
-  /// engine. The numeric value is advisory: the campaign CLI's thread-budget
-  /// heuristic multiplies it against --jobs. 0 (default) = serial engine,
-  /// the reference all goldens are recorded against.
+  /// Read by nothing: CmpMachine always runs its cores serially (the
+  /// parallel engine this selected was deleted, DESIGN.md §14). The field
+  /// survives only because the perfbench harness's parallel probe still
+  /// assigns it; it goes with that probe at the next benchmark change.
   u32 parallel_cores = 0;
-  /// Epoch quantum in cycles for the parallel engine: the maximum distance
-  /// any core may run ahead between barriers before the engine re-clamps to
-  /// the termination horizon. Affects only scheduling granularity, never
-  /// results (bit-identity holds for any value >= 1). 0 selects the default.
-  u32 parallel_quantum = 0;
 
   /// First global thread index hosted by this core (CMP machines construct
   /// one SmtCore per core with `addr_space_id_base = core * num_threads`, so

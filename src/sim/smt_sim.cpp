@@ -28,7 +28,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
     : cfg_(cfg),
       benchmarks_(benchmarks),
       shared_(shared),
-      core_id_(core_id),
       rename_(RenameConfig{cfg.int_regs, cfg.fp_regs, cfg.num_threads, cfg.shared_regfile}),
       iq_(cfg.iq_entries, cfg.num_threads),
       fus_(),
@@ -142,7 +141,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   audit_ctx_.ctrl = rob_ctrl_.get();
   audit_ctx_.wheel = &wheel_;
   audit_ctx_.shared = shared_;
-  audit_ctx_.core_id = core_id_;
   audit_ctx_.outstanding_l1.assign(cfg_.num_threads, 0);
   audit_ctx_.outstanding_l2.assign(cfg_.num_threads, 0);
   audit_ctx_.last_committed = &auditor_.last_committed();
@@ -1181,11 +1179,8 @@ void SmtCore::record_sample(Cycle label) {
   s.iq_occ_total = iq_.occupancy();
   // Shared-backend MSHR occupancy: quiescent state (the pool only mutates
   // inside request calls), so replayed samples see the same value the
-  // executed cycle would have. Sample `label` records the machine state
-  // after cycle label-1 finished, so the ordered read carries the serial key
-  // (label-1, core): under the parallel engine it publishes this core's
-  // clock and waits until no earlier-keyed backend call is still pending.
-  s.llc_mshr_occ = shared_ != nullptr ? shared_->inflight_count_at(label - 1, core_id_) : 0;
+  // executed cycle would have.
+  s.llc_mshr_occ = shared_ != nullptr ? shared_->inflight_count() : 0;
   s.threads.reserve(cfg_.num_threads);
   for (ThreadId t = 0; t < cfg_.num_threads; ++t) {
     const ThreadState& ts = threads_[t];

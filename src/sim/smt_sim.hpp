@@ -169,13 +169,6 @@ class SmtCore {
   /// points and the ROB controller's deferring re-checks for the skipped
   /// distance (wake must not exceed this core's cmp_idle_wake bound).
   void cmp_replay_idle_to(Cycle wake);
-  /// Overrides the fast-forwarded-cycle count. The parallel CMP engine skips
-  /// per-core spans the serial engine only skips machine-wide; it reconstructs
-  /// the serial machine-wide count from the per-core idle logs and installs it
-  /// here before snapshot_result() so `core.fast_forwarded_cycles` (and
-  /// executed_cycles()) stay bit-identical to the serial engine. Every other
-  /// statistic is fast-forward-pattern-independent by the replay contract.
-  void cmp_set_fast_forwarded(u64 ff) { fast_forwarded_ = ff; }
 
  private:
   struct ThreadState {
@@ -285,7 +278,6 @@ class SmtCore {
   MachineConfig cfg_;
   std::vector<Benchmark> benchmarks_;
   SharedMemory* shared_ = nullptr;  // not owned; null outside CMP machines
-  u32 core_id_ = 0;
   std::vector<ThreadState> threads_;
   RenameUnit rename_;
   IssueQueue iq_;

@@ -90,11 +90,6 @@ struct AuditContext {
   /// (null on single-core configurations without an LLC — the shared-memory
   /// check is then a no-op).
   const SharedMemory* shared = nullptr;
-  /// Index of the core this context belongs to within its CmpMachine (0 on
-  /// single-core machines). The shared-memory check passes it to
-  /// SharedMemory::audit_check_at so that, under the parallel engine, the
-  /// backend is audited at this core's position in the deterministic order.
-  u32 core_id = 0;
 
   /// Per-thread outstanding-miss counters as the core sees them (the checks
   /// recount the flags in the window against these).

@@ -19,9 +19,7 @@ class SharedMemoryCheck final : public InvariantCheck {
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
     if (ctx.shared == nullptr) return;
-    // Ordered read: under the parallel CMP engine this waits until the
-    // backend is exactly in the state the serial engine would audit here.
-    std::string detail = ctx.shared->audit_check_at(ctx.core_id);
+    std::string detail = ctx.shared->audit_check();
     if (!detail.empty())
       out.violation(ctx.cycle, kNoThread, "shared.memory", std::move(detail));
   }

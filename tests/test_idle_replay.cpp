@@ -10,7 +10,7 @@
 //   * with short leases and cooldowns (tens of cycles), so gate crossings fall
 //     inside idle spans, a fast-forwarding run and a run pinned by the full
 //     auditor agree on every counter except core.fast_forwarded_cycles, on
-//     the single SMT core, the serial CMP engine and the parallel CMP engine;
+//     the single SMT core and the CMP machine;
 //   * a 4-core x 4-thread memory-bound cell under R-ROB16 fast-forwards a
 //     pinned share of its cycles, a host-independent guard on the speed-up.
 #include <gtest/gtest.h>
@@ -150,23 +150,6 @@ TEST_P(IdleReplay, SerialCmpMatchesPinnedRunAcrossGateCrossings) {
           << pinned.core(c).auditor().report();
       expect_same_decision_average(ff.core(c), pinned.core(c));
     }
-    return r;
-  });
-}
-
-TEST_P(IdleReplay, ParallelCmpMatchesPinnedRunAcrossGateCrossings) {
-  expect_replay_exact([](u32 threshold) {
-    MachineConfig cfg = short_leases(cmp_config(2, GetParam(), threshold));
-    cfg.num_threads = 2;
-    const auto benches = mix1_threads(cfg);
-    MachineConfig par = cfg;
-    par.parallel_cores = cfg.num_cores;
-    par.parallel_quantum = 97;  // epochs end mid idle span, so replays are clamped
-    CmpMachine ff(par, benches);
-    CmpMachine pinned(audited(cfg), benches);
-    std::pair<RunResult, RunResult> r{ff.run(2500, 0, 500), pinned.run(2500, 0, 500)};
-    for (u32 c = 0; c < pinned.num_cores(); ++c)
-      expect_same_decision_average(ff.core(c), pinned.core(c));
     return r;
   });
 }

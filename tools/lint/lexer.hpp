@@ -1,12 +1,11 @@
-// Token-level C++ scanner for tlrob-lint's portable backend.
+// Token-level C++ scanner for tlrob-lint.
 //
 // This is deliberately not a C++ parser: it splits a translation unit into
 // identifiers / numbers / strings / punctuation with line numbers, strips
 // comments (harvesting `tlrob-lint:` suppression directives from them) and
 // records #include targets. The rule implementations (rules.cpp) pattern-
 // match over this token stream — coarse next to a real AST, but dependency-
-// free, so the analyzer always runs even on a toolchain with no Clang dev
-// libraries (the TLROB_LINT_CLANG backend deepens D1/D2 when they exist).
+// free, so the analyzer runs on any toolchain.
 #pragma once
 
 #include <map>

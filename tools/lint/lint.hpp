@@ -24,10 +24,8 @@
 // offending line; `allow-file(...)` for a whole file. Every suppression is
 // a reviewed, justified exception — exactly like a NOLINT.
 //
-// Backends: the token-level core (lexer.cpp + rules.cpp) always runs; when
-// built with TLROB_LINT_CLANG and the Clang dev libraries, an AST backend
-// (clang_backend.cpp) re-checks D1/D2 with real type information and its
-// findings are merged in.
+// The analysis is token-level (lexer.cpp + rules.cpp): no compiler front end
+// is needed to build or run it.
 #pragma once
 
 #include <string>
@@ -97,14 +95,5 @@ std::vector<std::string> compile_db_files(const std::string& db_path);
 /// The rule catalogue as "ID  description" lines (for --list-rules and the
 /// DESIGN.md §11 doc to stay in sync by eyeball).
 std::vector<std::string> rule_catalogue();
-
-#if defined(TLROB_LINT_HAVE_CLANG)
-/// Clang LibTooling backend: AST-level D1/D2 over the compile database.
-/// Findings are merged (deduplicated by rule/file/line) with the token
-/// backend's by the driver.
-std::vector<Finding> run_clang_backend(const std::string& compile_db_dir,
-                                       const std::vector<std::string>& files,
-                                       const LintOptions& opts);
-#endif
 
 }  // namespace tlrob::lint

@@ -39,9 +39,10 @@ const char* const kCoreScope[] = {
 /// D3: everywhere counters are registered or read by name.
 const char* const kCounterScope[] = {"src/", "tools/"};
 
-/// C1/C2: the concurrent modules (the shared pool and gate primitives in
+/// C1/C2: the concurrent modules (the shared pool and lock primitives in
 /// common/, the campaign engine/emitter/sinks, the single-thread-IPC memo,
-/// the parallel CMP epoch executor, observability sample sinks).
+/// observability sample sinks) plus the CMP machine, which is serial but
+/// stays in scope so that any threading added to it is checked.
 const char* const kConcurrencyScope[] = {
     "src/common/thread_pool", "src/common/sync", "src/runner/engine",
     "src/runner/sinks",       "src/sim/experiment", "src/sim/cmp",

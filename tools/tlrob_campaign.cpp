@@ -49,17 +49,10 @@ void print_usage() {
       "  --cores N        CMP: split each column's threads over N cores\n"
       "  --llc SPEC       shared LLC kb[:ways[:lat[:mshr]]] (implies a backend)\n"
       "  --dram SPEC      DRAM channels[:banks[:tcas[:trcd[:trp]]]]\n"
-      "  --parallel-cores[=N]\n"
-      "                   run each multi-core machine on one worker thread per\n"
-      "                   core (bit-identical to the serial engine; default off).\n"
-      "                   N declares the per-job width to the thread-budget\n"
-      "                   guard, which clamps --jobs so jobs x width stays\n"
-      "                   within the hardware threads\n"
-      "  --parallel-quantum N\n"
-      "                   parallel-engine epoch quantum in cycles (scheduling\n"
-      "                   granularity only; 0 = default)\n"
-      "  --allow-oversubscribe\n"
-      "                   skip the jobs x parallel-cores thread-budget clamp\n"
+      "  --force-cmp      run even 1-core columns through the CMP machine\n"
+      "  --sample-interval N\n"
+      "                   interval telemetry every N cycles (0 = off)\n"
+      "  --sample-dir DIR write each job's sample series to DIR\n"
       "  --list           list the available presets\n");
 }
 

@@ -21,9 +21,7 @@
 //   through CmpMachine: the Chrome trace then carries one process track per
 //   core plus a "shared backend" process with LLC MSHR-pool occupancy and
 //   per-bank DRAM row-state tracks, and the sample series is the machine-
-//   wide core-merged one. parallel_cores=N / --parallel-cores runs a
-//   multi-core machine on one worker thread per core — trace, series and
-//   statistics all stay bit-identical to the serial engine.
+//   wide core-merged one. The machine runs on one host thread.
 #include <cstdio>
 #include <fstream>
 #include <functional>
