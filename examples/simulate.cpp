@@ -15,10 +15,12 @@
 // Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
 // rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
 // llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
-// route the run through the CmpMachine engine; the workload list is
-// core-major and cores= splits the machine-wide thread count, so
-// `simulate mix=1 cores=2` runs 2 cores x 2 threads over the same four
-// benchmarks. Pipeline trace / Chrome trace / profile attach to core 0.
+// shape the CmpMachine every run steps through (one core without a shared
+// backend by default); the workload list is core-major and cores= splits
+// the machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x
+// 2 threads over the same four benchmarks. Pipeline trace / Chrome trace /
+// profile attach to core 0. A key nothing reads (a typo, a retired knob)
+// exits 2 before simulating, naming the key.
 //
 // Observability knobs (src/obs):
 //   sample=N           interval telemetry every N cycles
@@ -37,7 +39,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,8 @@ void print_usage() {
       "  sample_out=PATH    series as JSON lines ('-' = stdout)\n"
       "  sample_csv=PATH    series as CSV ('-' = stdout)\n"
       "  trace_json=PATH    Chrome trace-event JSON\n"
-      "  profile=1          host-side per-stage wall-time profile, to stderr\n");
+      "  profile=1          host-side per-stage wall-time profile, to stderr\n"
+      "any other key exits 2 before simulating\n");
 }
 
 }  // namespace
@@ -125,13 +127,26 @@ int main(int argc, char** argv) {
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
+  const bool dump_stats = opts.get_bool("stats", false);
+  const std::string trace_window = opts.get("trace");
 
   // --- observability -------------------------------------------------------
   cfg.telemetry.sample_interval = opts.get_u64("sample", cfg.telemetry.sample_interval);
   cfg.telemetry.profile = opts.get_bool("profile", cfg.telemetry.profile);
-  if ((opts.has("sample_out") || opts.has("sample_csv")) &&
-      cfg.telemetry.sample_interval == 0)
+  const std::string sample_out = opts.get("sample_out");
+  const std::string sample_csv = opts.get("sample_csv");
+  const std::string trace_json = opts.get("trace_json");
+  if ((!sample_out.empty() || !sample_csv.empty()) && cfg.telemetry.sample_interval == 0)
     cfg.telemetry.sample_interval = 1000;  // asking for the series implies sampling
+
+  // Every key is read by now: one nothing read is a typo or a retired knob.
+  const std::vector<std::string> unread = opts.unread_keys();
+  if (!unread.empty()) {
+    std::fprintf(stderr, "error: simulate does not use key%s", unread.size() == 1 ? "" : "s");
+    for (const std::string& key : unread) std::fprintf(stderr, " %s=", key.c_str());
+    std::fprintf(stderr, " (see simulate --help)\n");
+    return 2;
+  }
 
   std::printf("%s", describe(cfg).c_str());
   std::printf("workload              ");
@@ -140,33 +155,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  // Same engine routing as run_benchmarks: multiple cores or a shared
-  // backend go through CmpMachine; the observability hooks below then
-  // attach to core 0 (per-core trace files would interleave unusably).
-  const bool cmp_routed = cfg.num_cores > 1 || cfg.llc.enabled || cfg.force_cmp_engine;
-  std::unique_ptr<CmpMachine> machine;
-  std::unique_ptr<SmtCore> solo;
-  if (cmp_routed) {
-    machine = std::make_unique<CmpMachine>(cfg, benches);
-    if (cores > 1 && (opts.has("trace") || opts.has("trace_json") || cfg.telemetry.profile))
-      std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
-  } else {
-    solo = std::make_unique<SmtCore>(cfg, benches);
-  }
-  SmtCore& core = cmp_routed ? machine->core(0) : *solo;
-  if (opts.has("trace")) {
-    const std::string spec = opts.get("trace");
-    const auto colon = spec.find(':');
-    const Cycle lo = std::strtoull(spec.c_str(), nullptr, 0);
+  // The observability hooks attach to core 0 (per-core trace files would
+  // interleave unusably).
+  CmpMachine machine(cfg, benches);
+  if (cores > 1 && (!trace_window.empty() || !trace_json.empty() || cfg.telemetry.profile))
+    std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
+  SmtCore& core = machine.core(0);
+  if (!trace_window.empty()) {
+    const auto colon = trace_window.find(':');
+    const Cycle lo = std::strtoull(trace_window.c_str(), nullptr, 0);
     const Cycle hi = colon == std::string::npos
                          ? lo + 200
-                         : std::strtoull(spec.c_str() + colon + 1, nullptr, 0);
+                         : std::strtoull(trace_window.c_str() + colon + 1, nullptr, 0);
     core.tracer().attach(&std::cerr, lo, hi);
   }
   obs::ChromeTraceWriter chrome;
-  if (opts.has("trace_json")) core.attach_chrome_trace(&chrome);
-  const RunResult r = cmp_routed ? machine->run(insts, max_cycles, warmup)
-                                 : solo->run(insts, max_cycles, warmup);
+  if (!trace_json.empty()) core.attach_chrome_trace(&chrome);
+  const RunResult r = machine.run(insts, max_cycles, warmup);
 
   // A sink path of "-" means stdout; anything else is a file (created or
   // truncated). Returns false when the file cannot be opened.
@@ -184,15 +189,12 @@ int main(int argc, char** argv) {
     return true;
   };
   bool sinks_ok = true;
-  if (opts.has("sample_out"))
-    sinks_ok &= write_to(opts.get("sample_out"),
-                         [&](std::ostream& os) { r.samples.write_jsonl(os); });
-  if (opts.has("sample_csv"))
-    sinks_ok &= write_to(opts.get("sample_csv"),
-                         [&](std::ostream& os) { r.samples.write_csv(os); });
-  if (opts.has("trace_json"))
-    sinks_ok &= write_to(opts.get("trace_json"),
-                         [&](std::ostream& os) { chrome.write(os); });
+  if (!sample_out.empty())
+    sinks_ok &= write_to(sample_out, [&](std::ostream& os) { r.samples.write_jsonl(os); });
+  if (!sample_csv.empty())
+    sinks_ok &= write_to(sample_csv, [&](std::ostream& os) { r.samples.write_csv(os); });
+  if (!trace_json.empty())
+    sinks_ok &= write_to(trace_json, [&](std::ostream& os) { chrome.write(os); });
   if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
@@ -216,7 +218,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.dod_true.total_samples()),
                 r.dod_true.mean(), r.dod_proxy.mean());
 
-  if (opts.get_bool("stats", false)) {
+  if (dump_stats) {
     std::printf("\n--- all counters ---\n");
     for (const auto& [k, v] : r.counters)
       std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));

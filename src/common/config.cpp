@@ -33,18 +33,26 @@ Options Options::from_tokens(const std::vector<std::string>& tokens) {
   return opts;
 }
 
+std::map<std::string, std::string>::const_iterator Options::find(
+    const std::string& key) const {
+  read_.insert(key);
+  return values_.find(key);
+}
+
+bool Options::has(const std::string& key) const { return find(key) != values_.end(); }
+
 std::string Options::get(const std::string& key, const std::string& fallback) const {
-  auto it = values_.find(key);
+  auto it = find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 u64 Options::get_u64(const std::string& key, u64 fallback) const {
-  auto it = values_.find(key);
+  auto it = find(key);
   return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 0);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
+  auto it = find(key);
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
@@ -63,15 +71,15 @@ std::vector<std::string> Options::get_list(const std::string& key) const {
   return out;
 }
 
-std::vector<std::string> Options::keys() const {
+std::vector<std::string> Options::unread_keys() const {
   std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, value] : values_) out.push_back(key);
+  for (const auto& [key, value] : values_)
+    if (read_.count(key) == 0) out.push_back(key);
   return out;
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
+  auto it = find(key);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
   return !(v == "0" || v == "false" || v == "no" || v == "off");

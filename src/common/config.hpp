@@ -1,10 +1,12 @@
-// Minimal "key=value" option-bag used by benches, examples and tests to
+// Minimal "key=value" option-bag used by the tools, examples and tests to
 // override experiment parameters from the command line without pulling in a
-// flags library.
+// flags library. The bag remembers which keys were looked up, so a tool can
+// reject, after reading every option it uses, each key it never read.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +28,8 @@ class Options {
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  /// Every lookup (has, get, get_*) marks `key` as read.
+  bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& fallback = "") const;
   u64 get_u64(const std::string& key, u64 fallback) const;
@@ -39,11 +42,17 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Every key that was set, in sorted order.
-  std::vector<std::string> keys() const;
+  /// Every set key that no lookup has read yet, in sorted order. A tool
+  /// calls this once it has read every option it uses and exits 2 when the
+  /// result is non-empty: such a key would otherwise be silently dropped.
+  std::vector<std::string> unread_keys() const;
 
  private:
+  /// values_.find(key), recording the lookup.
+  std::map<std::string, std::string>::const_iterator find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -1,7 +1,6 @@
 #include "runner/cli.hpp"
 
 #include <algorithm>
-#include <array>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -77,29 +76,6 @@ ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
   return {prefix + std::to_string(threshold), two_level_config(kind, threshold), 0};
 }
 
-/// Options every campaign reads.
-constexpr std::array<const char*, 14> kRunKeys = {
-    "jobs",       "insts",      "warmup", "json",          "csv",
-    "manifest",   "resume",     "seed",   "per_job_seeds", "no_render",
-    "max_cycles", "sample_dir", "workload", "sample_interval"};
-/// Options only a custom sweep reads: a preset brings its own columns and
-/// mixes.
-constexpr std::array<const char*, 8> kCustomSweepKeys = {
-    "schemes", "thresholds", "mixes", "name", "cores", "llc", "dram", "force_cmp"};
-
-/// The option keys in `opts` that a run of `preset` (empty = custom sweep)
-/// never reads.
-std::vector<std::string> unused_options(const std::string& preset, const Options& opts) {
-  auto listed = [](const auto& keys, const std::string& key) {
-    return std::find(keys.begin(), keys.end(), key) != keys.end();
-  };
-  std::vector<std::string> unused;
-  for (const std::string& key : opts.keys())
-    if (!listed(kRunKeys, key) && (!preset.empty() || !listed(kCustomSweepKeys, key)))
-      unused.push_back(key);
-  return unused;
-}
-
 }  // namespace
 
 CampaignSpec custom_campaign(const Options& opts) {
@@ -136,7 +112,6 @@ CampaignSpec custom_campaign(const Options& opts) {
     c.config.num_cores = cores;
     if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
     if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
-    c.config.force_cmp_engine = opts.get_bool("force_cmp", c.config.force_cmp_engine);
   }
 
   const std::string workload = opts.get("workload", "");
@@ -173,13 +148,42 @@ CampaignSpec custom_campaign(const Options& opts) {
 }
 
 int run_from_options(const std::string& preset, const Options& opts) {
-  // Reject, before any cell runs, every option this run would not read: a
-  // misspelt or retired flag must not quietly fall back to a default.
-  const std::vector<std::string> unused = unused_options(preset, opts);
-  if (!unused.empty()) {
+  // Read every option the run uses first, then reject, before any sink is
+  // opened or any cell runs, every option nothing read: a misspelt or retired
+  // flag, or a custom-sweep option given to a preset, must not quietly fall
+  // back to a default.
+  const bool json = opts.has("json");
+  const bool csv = opts.has("csv");
+  const std::string json_path = opts.get("json");
+  const std::string csv_path = opts.get("csv");
+  const bool render = !opts.get_bool("no_render", false);
+  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  const std::string manifest_path = opts.get("manifest", "");
+  const bool resume = opts.get_bool("resume", false);
+
+  PresetOptions popts;
+  CampaignSpec spec;
+  if (!preset.empty()) {
+    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
+    popts.jobs = jobs;
+    popts.manifest_path = manifest_path;
+    popts.resume = resume;
+    popts.render = render;
+    popts.sample_interval = opts.get_u64("sample_interval", 0);
+    popts.sample_dir = opts.get("sample_dir", "");
+    popts.workload = opts.get("workload", "");
+    if (opts.has("seed")) popts.seed = opts.get_u64("seed", 0);
+    popts.per_job_seeds = opts.get_bool("per_job_seeds", false);
+    popts.max_cycles = opts.get_u64("max_cycles", 0);
+  } else {
+    spec = custom_campaign(opts);
+  }
+
+  const std::vector<std::string> unread = opts.unread_keys();
+  if (!unread.empty()) {
     std::cerr << "error: " << (preset.empty() ? "a custom sweep" : "preset " + preset)
-              << " does not use option" << (unused.size() == 1 ? "" : "s");
-    for (std::string key : unused) {
+              << " does not use option" << (unread.size() == 1 ? "" : "s");
+    for (std::string key : unread) {
       std::replace(key.begin(), key.end(), '_', '-');
       std::cerr << " --" << key;
     }
@@ -190,7 +194,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
   std::vector<std::unique_ptr<ResultSink>> owned;
-  auto open_sink = [&](const std::string& path, bool csv) -> ResultSink* {
+  auto open_sink = [&](const std::string& path, bool as_csv) -> ResultSink* {
     std::ostream* os = &std::cout;
     if (path != "-") {
       files.push_back(std::make_unique<std::ofstream>(path, std::ios::trunc));
@@ -198,7 +202,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
         throw std::runtime_error("cannot open sink file: " + path);
       os = files.back().get();
     }
-    if (csv)
+    if (as_csv)
       owned.push_back(std::make_unique<CsvSink>(*os));
     else
       owned.push_back(std::make_unique<JsonlSink>(*os));
@@ -206,36 +210,20 @@ int run_from_options(const std::string& preset, const Options& opts) {
   };
 
   std::vector<ResultSink*> sinks;
-  if (opts.has("json")) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
-  if (opts.has("csv")) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
-
-  const bool render = !opts.get_bool("no_render", false);
-  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  if (json) sinks.push_back(open_sink(json_path, /*as_csv=*/false));
+  if (csv) sinks.push_back(open_sink(csv_path, /*as_csv=*/true));
 
   CampaignResult result;
   std::string campaign_name;
   if (!preset.empty()) {
-    PresetOptions popts;
-    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
-    popts.jobs = jobs;
     popts.extra_sinks = sinks;
-    popts.manifest_path = opts.get("manifest", "");
-    popts.resume = opts.get_bool("resume", false);
-    popts.render = render;
-    popts.sample_interval = opts.get_u64("sample_interval", 0);
-    popts.sample_dir = opts.get("sample_dir", "");
-    popts.workload = opts.get("workload", "");
-    if (opts.has("seed")) popts.seed = opts.get_u64("seed", 0);
-    popts.per_job_seeds = opts.get_bool("per_job_seeds", false);
-    popts.max_cycles = opts.get_u64("max_cycles", 0);
     result = run_preset(preset, popts);
     campaign_name = preset;
   } else {
-    const CampaignSpec spec = custom_campaign(opts);
     EngineOptions eng;
     eng.jobs = jobs;
-    eng.manifest_path = opts.get("manifest", "");
-    eng.resume = opts.get_bool("resume", false);
+    eng.manifest_path = manifest_path;
+    eng.resume = resume;
     FtTableSink table(stdout);
     if (render) eng.sinks.push_back(&table);
     for (ResultSink* s : sinks) eng.sinks.push_back(s);
@@ -247,15 +235,6 @@ int run_from_options(const std::string& preset, const Options& opts) {
             << result.ok << " ok, " << result.failed << " failed, " << result.resumed
             << " resumed (" << jobs << " worker" << (jobs == 1 ? "" : "s") << ")\n";
   return result.failed > 0 ? 1 : 0;
-}
-
-int preset_main(const std::string& preset, int argc, const char* const* argv) {
-  try {
-    return run_from_options(preset, parse_cli_args(argc, argv));
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
 }
 
 }  // namespace tlrob::runner

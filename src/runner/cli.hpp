@@ -1,9 +1,9 @@
-// Command-line front end shared by the tlrob-campaign binary and the ported
-// bench_fig*/bench_table* wrappers.
+// Command-line front end of the tlrob-campaign binary, the one way to run a
+// preset (`tlrob-campaign fig2`) or a custom sweep.
 //
 // Accepted option spellings: `key=value`, `--key=value`, `--key value` and
-// bare `--flag` (stored as "1"); the historical bench spelling `insts=N
-// warmup=N` keeps working unchanged. Common options:
+// bare `--flag` (stored as "1"). Every option a run does not read exits 2
+// before any cell runs. Common options:
 //   --jobs N        worker threads (0 = hardware concurrency, 1 = serial)
 //   --insts N       committed-instruction target per run
 //   --warmup N      warmup commits excluded from statistics
@@ -23,6 +23,7 @@
 //   --schemes a,b   baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive
 //   --thresholds l  DoD thresholds crossed with the threshold-taking schemes
 //   --mixes 1,2,5   Table 2 mix subset (default: all 11)
+//   --cores N, --llc SPEC, --dram SPEC, --name NAME
 #pragma once
 
 #include <string>
@@ -42,11 +43,9 @@ CampaignSpec custom_campaign(const Options& opts);
 
 /// Runs a campaign described by already-parsed options: a preset when
 /// `preset` is non-empty, otherwise the custom sweep options. Wires up the
-/// json/csv/manifest sinks. Returns a process exit code (non-zero when any
-/// cell failed).
+/// json/csv/manifest sinks. Returns a process exit code: 2 (before any cell
+/// runs) when `opts` holds a key the run does not read, otherwise non-zero
+/// when any cell failed.
 int run_from_options(const std::string& preset, const Options& opts);
-
-/// main() body for the ported bench binaries.
-int preset_main(const std::string& preset, int argc, const char* const* argv);
 
 }  // namespace tlrob::runner

@@ -3,9 +3,9 @@
 // Each preset supplies a CampaignSpec (what to sweep) plus its stdout
 // rendering: the generic fair-throughput table (FtTableSink) and/or a
 // figure-specific epilogue (histograms, predictor quality, threshold
-// summary) rendered from the returned records. The bench_fig*/bench_table*
-// binaries are thin wrappers over run_preset; the tlrob-campaign CLI
-// reaches the same presets by name.
+// summary) rendered from the returned records. The tlrob-campaign CLI
+// reaches the presets by name (`tlrob-campaign fig2`); it is the one way
+// to run one from the command line.
 #pragma once
 
 #include <cstdio>

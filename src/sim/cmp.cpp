@@ -16,9 +16,9 @@ CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& b
     throw std::invalid_argument(
         "CmpMachine: one benchmark per hardware thread (num_cores * num_threads) required");
 
-  // A 1-core machine with the LLC off has nothing to share; leaving shared_
-  // null keeps that configuration on the exact legacy path (no llc.*/dram.*
-  // counters, bit-identical results) while still exercising this engine.
+  // A 1-core machine with the LLC off has nothing to share: shared_ stays
+  // null, the core keeps its private fixed-latency channel, and the result
+  // carries no llc.*/dram.* counters — the paper's single SMT core.
   if (cfg.llc.enabled || cfg.num_cores > 1) {
     LlcConfig llc = cfg.llc;
     llc.enabled = true;
@@ -29,16 +29,11 @@ CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& b
   for (u32 c = 0; c < cfg.num_cores; ++c) {
     MachineConfig core_cfg = cfg;
     core_cfg.num_cores = 1;
-    core_cfg.force_cmp_engine = false;
     core_cfg.addr_space_id_base = c * cfg.num_threads;
     const std::vector<Benchmark> slice(benchmarks.begin() + c * cfg.num_threads,
                                        benchmarks.begin() + (c + 1) * cfg.num_threads);
     cores_.push_back(std::make_unique<SmtCore>(core_cfg, slice, shared_.get(), c));
   }
-}
-
-void CmpMachine::tick() {
-  for (auto& c : cores_) c->tick();
 }
 
 void CmpMachine::attach_chrome_trace(const std::vector<obs::ChromeTraceWriter*>& per_core,
@@ -72,20 +67,28 @@ u64 CmpMachine::executed_cycles() const {
   return total;
 }
 
-void CmpMachine::step_all(Cycle limit) {
-  // Any pinned core (auditor / text tracer) pins the whole machine: lockstep
-  // only holds if nobody fast-forwards past a cycle a peer executed.
+namespace {
+
+/// One lockstep cycle for all cores, fast-forwarding a globally idle machine
+/// (bounded by `limit`).
+void step_all(std::span<SmtCore* const> cores, Cycle limit) {
+  // The fast-forward needs every cycle to be invisible to observers: the
+  // auditor samples fixed cycle intervals and the text tracer logs a window,
+  // so any pinned core pins the whole machine (lockstep only holds if nobody
+  // fast-forwards past a cycle a peer executed). The Chrome trace and the
+  // interval sampler do not pin: trace events only happen in state-changing
+  // ticks, and skipped sample points are replayed from the quiescent state.
   bool pinned = false;
-  for (auto& c : cores_) pinned = pinned || c->cmp_pinned();
+  for (SmtCore* c : cores) pinned = pinned || c->cmp_pinned();
   if (pinned) {
-    for (auto& c : cores_) c->tick();
+    for (SmtCore* c : cores) c->tick();
     return;
   }
 
   // Tick every core (fixed order — the deterministic interleaving of shared
   // LLC/DRAM requests); no short-circuit, all cores must advance this cycle.
   bool any = false;
-  for (auto& c : cores_)
+  for (SmtCore* c : cores)
     if (c->cmp_tick()) any = true;
   if (any) return;
 
@@ -93,53 +96,39 @@ void CmpMachine::step_all(Cycle limit) {
   // on ANY core. The shared backend never wakes a core on its own (latency
   // chain), so the per-core wake bounds are machine-wide sound.
   Cycle wake = limit;
-  for (auto& c : cores_) wake = std::min(wake, c->cmp_idle_wake(limit));
-  if (wake <= now()) return;
-  for (auto& c : cores_) c->cmp_replay_idle_to(wake);
+  for (SmtCore* c : cores) wake = std::min(wake, c->cmp_idle_wake(limit));
+  if (wake <= cores.front()->now()) return;
+  for (SmtCore* c : cores) c->cmp_replay_idle_to(wake);
 }
 
-void CmpMachine::reset_measurement() {
-  // Every core resets at the same lockstep boundary; each also resets the
-  // shared backend's stats (idempotent repeats).
-  for (auto& c : cores_) c->reset_measurement();
-}
+}  // namespace
 
-RunResult CmpMachine::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
-  if (cores_.size() == 1) {
-    // Single core: the core's own run loop IS the machine (byte-identical to
-    // the legacy engine when there is no backend); only the shared counter
-    // families are appended on top.
-    RunResult r = cores_.front()->run(commit_target, max_cycles, warmup_insts);
-    append_shared_counters(r);
-    return r;
-  }
-
+void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
+                  u64 warmup_insts) {
   if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
-
+  auto now = [&] { return cores.front()->now(); };
   auto fastest_measured = [&] {
     u64 best = 0;
-    for (const auto& c : cores_) best = std::max(best, c->fastest_measured());
+    for (const SmtCore* c : cores) best = std::max(best, c->fastest_measured());
     return best;
   };
 
-  if (warmup_insts > 0) {
-    while (now() < max_cycles && fastest_measured() < warmup_insts) step_all(max_cycles);
-    reset_measurement();
-  }
-  while (now() < max_cycles && fastest_measured() < commit_target) step_all(max_cycles);
-  for (auto& c : cores_) c->flush_chrome_trace();
-  return snapshot_result();
+  while (now() < max_cycles && fastest_measured() < warmup_insts) step_all(cores, max_cycles);
+  // Open the measurement window even after a zero-length warmup: the cores'
+  // constructor-time cache pre-warm must not count as measured traffic. Every
+  // core resets at the same lockstep boundary; each also resets the shared
+  // backend's stats (idempotent repeats).
+  for (SmtCore* c : cores) c->reset_measurement();
+  while (now() < max_cycles && fastest_measured() < commit_target) step_all(cores, max_cycles);
+  for (SmtCore* c : cores) c->flush_chrome_trace();
 }
 
-void CmpMachine::append_shared_counters(RunResult& r) const {
-  if (shared_ == nullptr) return;
-  auto& sm = const_cast<SharedMemory&>(*shared_);
-  auto merge = [&r](const std::string& prefix, const StatGroup& g) {
-    for (const auto& [name, c] : g.counters_map()) r.counters[prefix + name] = c.value();
-  };
-  merge("llc.", sm.llc().stats());
-  merge("llc.", sm.stats());  // cross-core merges, MSHR stalls, writebacks
-  merge("dram.", sm.dram().stats());
+RunResult CmpMachine::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
+  std::vector<SmtCore*> cores;
+  cores.reserve(cores_.size());
+  for (auto& c : cores_) cores.push_back(c.get());
+  run_lockstep(cores, commit_target, max_cycles, warmup_insts);
+  return snapshot_result();
 }
 
 RunResult CmpMachine::snapshot_result() const {
@@ -163,7 +152,15 @@ RunResult CmpMachine::snapshot_result() const {
     for (const auto& c : cores_) series.push_back(&c->samples());
     r.samples = obs::merge_core_series(series);
   }
-  append_shared_counters(r);
+  if (shared_ != nullptr) {
+    auto& sm = const_cast<SharedMemory&>(*shared_);
+    auto merge = [&r](const std::string& prefix, const StatGroup& g) {
+      for (const auto& [name, c] : g.counters_map()) r.counters[prefix + name] = c.value();
+    };
+    merge("llc.", sm.llc().stats());
+    merge("llc.", sm.stats());  // cross-core merges, MSHR stalls, writebacks
+    merge("dram.", sm.dram().stats());
+  }
   return r;
 }
 

@@ -14,16 +14,19 @@
 //     in the same lockstep cycle; the jump target is the minimum of the
 //     cores' individual wake bounds, and each core replays its own stall
 //     counters and sample points across the skipped distance (SmtCore's
-//     cmp_* decomposition of step()).
+//     cmp_tick / cmp_idle_wake / cmp_replay_idle_to).
 //
 // Result merging: per-thread results concatenate core-major (core c's
 // thread t is machine thread c*M + t, matching the workload slicing and the
 // address-space bases), per-core counters sum under their historical names,
 // the shared llc.*/dram.* families append once, and the DoD histograms
-// merge. A 1-core machine without an LLC delegates run() to its single core
-// outright, which makes the no-backend CMP path byte-identical to the
-// legacy engine by construction — the differential test in
-// tests/test_pool_fuzz.cpp pins the remaining plumbing.
+// merge.
+//
+// run_lockstep is the simulator's one run loop: CmpMachine::run steps its
+// cores through it, and SmtCore::run steps a one-core span through it. A
+// single SMT core is an N = 1 machine without a backend (the M-Sim /
+// ChampSim shape: one global loop over the cores), and step_all over one
+// core is exactly the single-core tick / fast-forward sequence.
 //
 // The machine runs on one host thread. A parallel engine (one worker per
 // core behind a deterministic barrier at the shared-backend boundary) was
@@ -33,11 +36,22 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/smt_sim.hpp"
 
 namespace tlrob {
+
+/// The run loop: steps `cores` in lockstep until any thread on any core has
+/// committed `commit_target` measured instructions or `max_cycles` elapse
+/// (0 = derive a generous bound from the targets). `warmup_insts` commits
+/// per fastest thread run first; then every core's measurement window opens
+/// (reset_measurement, also when `warmup_insts` is 0, so the constructor's
+/// cache pre-warm never counts). Leaves the results in the cores, to be read
+/// with snapshot_result().
+void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
+                  u64 warmup_insts);
 
 class CmpMachine {
  public:
@@ -48,14 +62,9 @@ class CmpMachine {
 
   /// Runs until any thread on any core has committed `commit_target`
   /// instructions or `max_cycles` elapse (0 = derive a generous bound), with
-  /// `warmup_insts` excluded from every statistic — the same contract as
-  /// SmtCore::run.
+  /// `warmup_insts` excluded from every statistic (run_lockstep).
   RunResult run(u64 commit_target, u64 max_cycles = 0, u64 warmup_insts = 0);
 
-  /// Advances every core exactly one cycle, in core order (tests).
-  void tick();
-
-  Cycle now() const { return cores_.front()->now(); }
   u32 num_cores() const { return static_cast<u32>(cores_.size()); }
   SmtCore& core(u32 c) { return *cores_[c]; }
   const SmtCore& core(u32 c) const { return *cores_[c]; }
@@ -87,14 +96,6 @@ class CmpMachine {
   RunResult snapshot_result() const;
 
  private:
-  /// One lockstep cycle for all cores, fast-forwarding a globally idle
-  /// machine (bounded by `limit`).
-  void step_all(Cycle limit);
-  void reset_measurement();
-  /// Adds the shared backend's llc.*/dram.* counter families to `r` (no-op
-  /// without a backend).
-  void append_shared_counters(RunResult& r) const;
-
   MachineConfig cfg_;
   std::unique_ptr<SharedMemory> shared_;  // may be null (1 core, LLC off)
   std::vector<std::unique_ptr<SmtCore>> cores_;

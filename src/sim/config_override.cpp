@@ -122,7 +122,6 @@ MachineConfig apply_overrides(MachineConfig cfg, const Options& opts) {
   u32opt("cores", cfg.num_cores);
   if (opts.has("llc")) apply_llc_spec(cfg.llc, opts.get("llc"));
   if (opts.has("dram")) apply_dram_spec(cfg.dram, opts.get("dram"));
-  cfg.force_cmp_engine = opts.get_bool("force_cmp", cfg.force_cmp_engine);
 
   if (opts.has("audit")) cfg.audit.level = parse_audit_level(opts.get("audit"));
   cfg.audit.cheap_interval = opts.get_u64("audit_cheap_interval", cfg.audit.cheap_interval);

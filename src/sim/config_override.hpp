@@ -1,7 +1,9 @@
 // Command-line overrides for MachineConfig — the sim-outorder-style knobs a
 // downstream user expects. Keys are flat "name=value" options (see
-// common/config.hpp); unknown keys are ignored so experiment scripts can mix
-// machine knobs with their own options.
+// common/config.hpp). apply_overrides reads only the keys below and leaves
+// the rest to the calling tool, which reads its own keys and then rejects
+// every key nothing read (Options::unread_keys), so a typo or a retired knob
+// exits 2 instead of running the default.
 #pragma once
 
 #include <string>
@@ -23,7 +25,8 @@ namespace tlrob {
 ///   mshr, dcra_sharing, seed,
 ///   cores (CMP core count; > 1 enables the shared LLC/DRAM backend),
 ///   llc (spec string, see apply_llc_spec), dram (see apply_dram_spec),
-///   force_cmp (0/1 — route a 1-core config through the CMP engine).
+///   audit (off|cheap|full), audit_cheap_interval, audit_full_interval,
+///   audit_abort (0/1).
 /// Throws std::invalid_argument on an unrecognised policy/scheme value.
 MachineConfig apply_overrides(MachineConfig cfg, const Options& opts);
 

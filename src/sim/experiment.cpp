@@ -31,15 +31,8 @@ std::map<std::pair<std::string, u64>, std::unique_ptr<StIpcEntry>> st_ipc_cache
 
 RunResult run_benchmarks(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
                          u64 commit_target, u64 max_cycles, u64 warmup_insts) {
-  // The CMP engine hosts anything with multiple cores or a shared memory
-  // backend (plus the differential tests that force it); the default
-  // single-core configuration keeps the legacy path untouched.
-  if (cfg.num_cores > 1 || cfg.llc.enabled || cfg.force_cmp_engine) {
-    CmpMachine machine(cfg, benchmarks);
-    return machine.run(commit_target, max_cycles, warmup_insts);
-  }
-  SmtCore core(cfg, benchmarks);
-  return core.run(commit_target, max_cycles, warmup_insts);
+  CmpMachine machine(cfg, benchmarks);
+  return machine.run(commit_target, max_cycles, warmup_insts);
 }
 
 double single_thread_ipc(const std::string& benchmark, u64 commit_target) {

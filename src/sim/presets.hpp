@@ -19,13 +19,15 @@ struct MachineConfig {
   /// each. Every core keeps its private L1/L2, branch state and second-level
   /// ROB partition; cores > 1 couple through the shared LLC + banked DRAM
   /// backend (`llc`/`dram`). The default (1 core, LLC off) is exactly the
-  /// paper's single-core machine and never touches the CMP engine.
+  /// paper's single-core machine: one core, no shared backend.
   u32 num_cores = 1;
   u32 num_threads = 4;
 
-  /// Routes even a 1-core config through the CMP engine (CmpMachine). Used
-  /// by the differential tests that pin the engines byte-identical; normal
-  /// configs leave it off.
+  /// Read by nothing: every run steps through CmpMachine's one loop (the
+  /// separate single-core engine this selected against was deleted). The
+  /// field survives only because the perfbench harness's engine check
+  /// (`uses_cmp_engine`) still reads it; it goes with that check at the next
+  /// benchmark change.
   bool force_cmp_engine = false;
 
   /// Read by nothing: CmpMachine always runs its cores serially (the
@@ -67,8 +69,8 @@ struct MachineConfig {
   // Physical registers (Table 1: 224 int + 224 fp). Per-thread files by
   // default, following M-Sim's SMT model (each context renames out of its
   // own file); the shared-pool interpretation of Table 1 is available as an
-  // ablation (bench_ablation_regfile) and makes the register file, not the
-  // ROB, the binding window limit.
+  // ablation (`tlrob-campaign ablation_regfile`) and makes the register
+  // file, not the ROB, the binding window limit.
   u32 int_regs = 224;
   u32 fp_regs = 224;
   bool shared_regfile = false;
@@ -123,7 +125,7 @@ MachineConfig single_thread_config();
 /// running the given ROB scheme (kBaseline => no second level per core).
 MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold);
 
-/// Human-readable one-line-per-parameter dump (bench_table1_config).
+/// Human-readable one-line-per-parameter dump (simulate prints it first).
 std::string describe(const MachineConfig& cfg);
 
 }  // namespace tlrob

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "memory/shared_memory.hpp"
+#include "sim/cmp.hpp"
 
 namespace tlrob {
 
@@ -1110,25 +1111,6 @@ void SmtCore::cmp_replay_idle_to(Cycle wake) {
   cycle_ = wake;
 }
 
-void SmtCore::step(Cycle limit) {
-  // The fast-forward needs every cycle to be invisible to observers: the
-  // auditor samples fixed cycle intervals and the tracer logs a window, so
-  // either being attached pins the core to cycle-by-cycle execution. (The
-  // Chrome trace and the interval sampler do NOT pin it: trace events only
-  // happen in state-changing ticks, and skipped sample points are replayed
-  // by cmp_replay_idle_to from the quiescent state every skipped cycle saw.)
-  if (cmp_pinned()) {
-    tick_dispatch();
-    return;
-  }
-
-  if (cmp_tick()) return;
-
-  const Cycle wake = cmp_idle_wake(limit);
-  if (wake <= cycle_) return;
-  cmp_replay_idle_to(wake);
-}
-
 void SmtCore::attach_chrome_trace(obs::ChromeTraceWriter* writer) {
   trace_ = writer;
   if (trace_ == nullptr) return;
@@ -1246,14 +1228,8 @@ void SmtCore::reset_measurement() {
 }
 
 RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
-  if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
-
-  if (warmup_insts > 0) {
-    while (cycle_ < max_cycles && fastest_measured() < warmup_insts) step(max_cycles);
-    reset_measurement();
-  }
-  while (cycle_ < max_cycles && fastest_measured() < commit_target) step(max_cycles);
-  flush_chrome_trace();
+  SmtCore* const self = this;
+  run_lockstep({&self, 1}, commit_target, max_cycles, warmup_insts);
   return snapshot_result();
 }
 

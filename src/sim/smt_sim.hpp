@@ -15,9 +15,9 @@
 // Hot-path design (DESIGN.md §8): completion events live in a calendar wheel
 // (EventWheel) instead of a priority queue; every per-cycle scratch
 // collection is a reused member buffer; the DynInst windows are fixed ring
-// slabs; and run() fast-forwards runs of provably idle cycles — every stage
-// reports whether it changed state, and when none did, the core jumps
-// straight to the next cycle at which anything *can* happen (next scheduled
+// slabs; and the run loop fast-forwards runs of provably idle cycles —
+// every stage reports whether it changed state, and when none did, the core
+// jumps straight to the next cycle at which anything *can* happen (next scheduled
 // event, next frontend-head maturity, next fetch-stall expiry, first
 // controller re-check that would act), replaying the per-cycle stall
 // counters and the deferring re-checks for the skipped distance. Statistics
@@ -68,7 +68,9 @@ class SmtCore {
   /// `max_cycles` elapse (0 = derive a generous bound from the target).
   /// `warmup_insts` commits per fastest thread are executed first and then
   /// excluded from every statistic — the stand-in for the paper's Simpoint
-  /// fast-forwarding (cold caches otherwise dominate short runs).
+  /// fast-forwarding (cold caches otherwise dominate short runs). Each call
+  /// opens a fresh measurement window. This core steps through the one run
+  /// loop (run_lockstep, sim/cmp.hpp) as a one-core machine.
   RunResult run(u64 commit_target, u64 max_cycles = 0, u64 warmup_insts = 0);
 
   /// Zeroes every statistic (counters, histograms, IPC baselines) while
@@ -82,7 +84,7 @@ class SmtCore {
   u64 committed(ThreadId t) const { return threads_[t].committed; }
 
   /// Largest measurement-relative commit count over this core's threads —
-  /// run()'s progress metric, exposed for the CMP machine's lockstep loop.
+  /// the run loop's progress metric (run_lockstep).
   u64 fastest_measured() const {
     u64 best = 0;
     for (const auto& ts : threads_) {
@@ -113,8 +115,8 @@ class SmtCore {
 
   /// Closes any still-open second-level tenure into the attached Chrome
   /// trace (span end = the current cycle) without disturbing the live
-  /// grant; run() calls this at exit so traces never end with a dangling
-  /// allocation.
+  /// grant; the run loop calls this at exit so traces never end with a
+  /// dangling allocation.
   void flush_chrome_trace();
 
   /// Interval-telemetry series recorded so far (empty unless
@@ -128,8 +130,8 @@ class SmtCore {
   /// denominator for the profiler's ns/cycle column.
   u64 executed_cycles() const { return cycle_ - fast_forwarded_; }
 
-  /// Cycles run() skipped via idle fast-forward (diagnostics; counted in
-  /// cycle_ exactly as if they had been ticked).
+  /// Cycles the run loop skipped via idle fast-forward (diagnostics; counted
+  /// in cycle_ exactly as if they had been ticked).
   u64 fast_forwarded_cycles() const { return fast_forwarded_; }
 
   /// The pipeline invariant auditor (cfg.audit decides what runs per cycle).
@@ -150,10 +152,10 @@ class SmtCore {
   /// Builds the RunResult for the current state (run() calls this at exit).
   RunResult snapshot_result() const;
 
-  // -- CMP lockstep interface (sim/cmp.cpp) ----------------------------------
-  // step() is decomposed into these so a CmpMachine can tick N cores in
-  // lockstep and fast-forward only when EVERY core proved its cycle idle:
-  // step(limit) == { if (cmp_pinned()) tick; else if (!cmp_tick()) { w =
+  // -- Lockstep interface (run_lockstep, sim/cmp.cpp) --------------------------
+  // The run loop ticks every core with these and fast-forwards only when
+  // EVERY core proved its cycle idle. For one core a step is
+  // { if (cmp_pinned()) tick; else if (!cmp_tick()) { w =
   // cmp_idle_wake(limit); if (w > now()) cmp_replay_idle_to(w); } }.
 
   /// The auditor/tracer pin this core to cycle-by-cycle execution.
@@ -219,14 +221,8 @@ class SmtCore {
   /// so they cannot drift apart).
   template <bool Profiled>
   bool tick_impl();
-  bool tick_once() { return tick_impl<false>(); }
   /// tick_impl dispatch on the profiler flag (checked once per tick).
   bool tick_dispatch();
-  /// tick_once() plus, when the cycle was provably idle and neither the
-  /// auditor nor a tracer needs to see every cycle, a jump to the next cycle
-  /// anything can happen at (bounded by `limit`), with the per-cycle stall
-  /// statistics replayed for the skipped distance.
-  void step(Cycle limit);
 
   // -- helpers ----------------------------------------------------------------
   void refresh_views();
@@ -243,8 +239,8 @@ class SmtCore {
   void drop_outstanding_counts(DynInst& di);
   void refresh_audit_ctx();
   /// Captures one interval sample labelled `label` from the current state
-  /// (also called from step()'s fast-forward replay, where the quiescent
-  /// state is exactly the state every skipped cycle saw).
+  /// (also called from cmp_replay_idle_to's fast-forward replay, where the
+  /// quiescent state is exactly the state every skipped cycle saw).
   void record_sample(Cycle label);
   /// Stall-cycle taxonomy (active iff sampling is on): classifies thread `t`
   /// at cycle `c` from current machine state. Pure; every input except the
@@ -370,8 +366,8 @@ class SmtCore {
   // Cached stat handles (StatGroup map nodes are address-stable and reset()
   // zeroes in place, so these stay valid across reset_measurement()). The
   // per-cycle map lookups were ~a quarter of the profile. Declared after
-  // stats_ (initialisation order). The stall counters are also what step()
-  // replays across fast-forwarded cycles.
+  // stats_ (initialisation order). The stall counters are also what
+  // cmp_replay_idle_to() replays across fast-forwarded cycles.
   Counter* cnt_events_dropped_;
   Counter* cnt_exec_completed_;
   Counter* cnt_issue_insts_;

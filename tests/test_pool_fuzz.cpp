@@ -21,10 +21,6 @@
 #include <random>
 #include <vector>
 
-#include "runner/campaign.hpp"
-#include "runner/engine.hpp"
-#include "runner/golden.hpp"
-#include "runner/presets.hpp"
 #include "sim/cmp.hpp"
 #include "sim/event_wheel.hpp"
 #include "sim/metrics.hpp"
@@ -249,40 +245,6 @@ TEST_P(CmpFuzz, RandomizedCmpGeometrySurvivesSquashStormsUnderFullAudit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CmpFuzz, ::testing::Range(0u, 6u));
-
-// ---------------------------------------------------------------------------
-// Differential: the CMP engine with no backend IS the legacy engine.
-// ---------------------------------------------------------------------------
-//
-// Every single-core cell of every preset, re-run through CmpMachine with
-// force_cmp_engine set, must produce a byte-identical JSONL record: same
-// cycles, same per-thread results, same counter families, same DoD
-// histograms. Cells are stride-sampled (≤3 per preset) to keep the suite
-// fast; the full golden suite pins the legacy path itself.
-
-TEST(CmpDifferential, ForcedCmpEngineIsByteIdenticalToLegacyOnEveryPreset) {
-  using runner::JobSpec;
-  for (const std::string& preset : runner::preset_names()) {
-    runner::CampaignSpec spec = runner::preset_campaign(preset, runner::golden_run_length());
-    std::vector<JobSpec> jobs = runner::expand(spec);
-    // Keep only cells the legacy engine would run (the cmp_* presets route
-    // through CmpMachine either way).
-    std::erase_if(jobs, [](const JobSpec& j) {
-      return j.config.num_cores > 1 || j.config.llc.enabled || j.config.force_cmp_engine;
-    });
-    const size_t stride = jobs.size() <= 3 ? 1 : jobs.size() / 3;
-    u32 compared = 0;
-    for (size_t i = 0; i < jobs.size() && compared < 3; i += stride, ++compared) {
-      const JobSpec& legacy = jobs[i];
-      JobSpec forced = legacy;
-      forced.config.force_cmp_engine = true;
-      const std::string a = runner::to_json_line(runner::execute_job(legacy));
-      const std::string b = runner::to_json_line(runner::execute_job(forced));
-      EXPECT_EQ(a, b) << preset << " cell " << i << " (" << legacy.config_name << " / "
-                      << legacy.mix.name << "): forced CMP engine diverged";
-    }
-  }
-}
 
 }  // namespace
 }  // namespace tlrob

@@ -482,7 +482,8 @@ TEST(RunnerCli, UnusedOptionsExitTwoBeforeAnyCellRuns) {
       {"--allow-"
        "oversubscribe"},  // split so the retired flag's name stays out of code searches
       {"--sed", "7"},
-      {"--cores", "2"}};
+      {"--cores", "2"},
+      {"--force-cmp"}};
   for (const auto& extra : rejected) {
     std::vector<const char*> args = {"--json", "-", "--no-render", "--insts", "1000"};
     args.insert(args.end(), extra.begin(), extra.end());
@@ -492,6 +493,10 @@ TEST(RunnerCli, UnusedOptionsExitTwoBeforeAnyCellRuns) {
   }
   std::string out;
   EXPECT_EQ(cli_exit_code("", {"--schemes", "rrob", "--mixes", "1", "--sed", "7", "--json", "-"},
+                          &out),
+            2);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(cli_exit_code("", {"--schemes", "rrob", "--mixes", "1", "--force-cmp", "--json", "-"},
                           &out),
             2);
   EXPECT_EQ(out, "");

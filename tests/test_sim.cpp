@@ -3,6 +3,10 @@
 // behaviour and the paper's mechanisms working together.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/presets.hpp"
@@ -33,16 +37,41 @@ TEST(Metrics, FairThroughputPenalisesImbalance) {
 TEST(Presets, Table1Values) {
   const MachineConfig cfg = baseline32_config();
   EXPECT_EQ(cfg.num_threads, 4u);
+  EXPECT_EQ(cfg.fetch_width, 8u);
+  EXPECT_EQ(cfg.issue_width, 8u);
+  EXPECT_EQ(cfg.commit_width, 8u);
   EXPECT_EQ(cfg.rob_first_level, 32u);
   EXPECT_EQ(cfg.rob_second_level, 0u);
   EXPECT_EQ(cfg.iq_entries, 64u);
   EXPECT_EQ(cfg.lsq_entries, 48u);
   EXPECT_EQ(cfg.int_regs, 224u);
+  EXPECT_EQ(cfg.fp_regs, 224u);
+  // L1I 64KB/2-way/64B/1cyc, L1D 32KB/4-way/32B/1cyc, L2 2MB/8-way/128B/10cyc.
+  const auto geometry = [](const CacheGeometry& g) {
+    return std::vector<u64>{g.size_bytes, g.ways, g.line_bytes, g.hit_latency};
+  };
+  EXPECT_EQ(geometry(cfg.memory.l1i), (std::vector<u64>{64 << 10, 2, 64, 1}));
+  EXPECT_EQ(geometry(cfg.memory.l1d), (std::vector<u64>{32 << 10, 4, 32, 1}));
+  EXPECT_EQ(geometry(cfg.memory.l2), (std::vector<u64>{2 << 20, 8, 128, 10}));
+  // Memory: 500-cycle first chunk, 2 cycles per further chunk, 64-bit bus.
+  EXPECT_EQ(cfg.memory.channel.first_chunk, 500u);
+  EXPECT_EQ(cfg.memory.channel.interchunk, 2u);
+  EXPECT_EQ(cfg.memory.channel.bus_bytes, 8u);
+  // 2K-entry gshare with 10-bit history, 2048-entry 2-way BTB, 1K-entry
+  // load-hit predictor with 8-bit history.
+  EXPECT_EQ(cfg.predictor.gshare_entries, 2048u);
+  EXPECT_EQ(cfg.predictor.history_bits, 10u);
+  EXPECT_EQ(cfg.predictor.btb_entries, 2048u);
+  EXPECT_EQ(cfg.predictor.btb_ways, 2u);
+  EXPECT_EQ(cfg.load_hit_entries, 1024u);
+  EXPECT_EQ(cfg.load_hit_history, 8u);
+  EXPECT_EQ(cfg.fetch_policy, FetchPolicyKind::kDcra);
   EXPECT_EQ(baseline128_config().rob_first_level, 128u);
   const MachineConfig tl = two_level_config(RobScheme::kCdr, 15);
   EXPECT_EQ(tl.rob.scheme, RobScheme::kCdr);
   EXPECT_EQ(tl.rob.dod_threshold, 15u);
   EXPECT_EQ(tl.rob_second_level, 384u);
+  EXPECT_EQ(two_level_config(RobScheme::kReactive, 16).rob_second_level, 384u);
   EXPECT_EQ(single_thread_config().num_threads, 1u);
   EXPECT_FALSE(describe(cfg).empty());
 }
@@ -187,6 +216,33 @@ TEST(SmtCore, WarmupExcludedFromStatistics) {
   EXPECT_GE(r.threads[0].committed, 5000u);
   EXPECT_LT(r.threads[0].committed, 9000u);  // warmup commits not counted
   EXPECT_EQ(run_counter(r, "core.commit.insts"), r.threads[0].committed);
+}
+
+// The constructor's cache pre-warm installs lines (and evicts some) before
+// the first tick. A run without warmup must still open its measurement
+// window, so those evictions never show up next to the measured misses: a
+// cache cannot evict more lines than its measured misses filled.
+void expect_no_prewarm_evictions(const RunResult& r) {
+  for (const char* cache : {"l1i.", "l1d.", "l2."}) {
+    const std::string c = cache;
+    EXPECT_LE(run_counter(r, c + "evictions"), run_counter(r, c + "misses")) << c;
+  }
+}
+
+TEST(SmtCore, ZeroWarmupRunExcludesCachePrewarm) {
+  SmtCore core(baseline32_config(), mix_benchmarks(table2_mix(1)));
+  const RunResult r = core.run(2000, 0, /*warmup=*/0);
+  EXPECT_GT(run_counter(r, "l1d.misses"), 0u);
+  expect_no_prewarm_evictions(r);
+}
+
+TEST(CmpMachine, ZeroWarmupRunExcludesCachePrewarm) {
+  MachineConfig cfg = cmp_config(2, RobScheme::kBaseline, 0);
+  cfg.num_threads = 2;
+  CmpMachine machine(cfg, mix_benchmarks(table2_mix(1)));
+  const RunResult r = machine.run(2000, 0, /*warmup=*/0);
+  EXPECT_GT(run_counter(r, "l1d.misses"), 0u);
+  expect_no_prewarm_evictions(r);
 }
 
 TEST(SmtCore, SpeculativeSchedulingReplays) {

@@ -13,6 +13,7 @@
 //   tlrob-campaign fig2 --manifest fig2.manifest --resume
 //   tlrob-campaign --list
 #include <cstdio>
+#include <exception>
 
 #include "runner/cli.hpp"
 
@@ -49,7 +50,6 @@ void print_usage() {
       "  --cores N        CMP: split each column's threads over N cores\n"
       "  --llc SPEC       shared LLC kb[:ways[:lat[:mshr]]] (implies a backend)\n"
       "  --dram SPEC      DRAM channels[:banks[:tcas[:trcd[:trp]]]]\n"
-      "  --force-cmp      run even 1-core columns through the CMP machine\n"
       "  --sample-interval N\n"
       "                   interval telemetry every N cycles (0 = off)\n"
       "  --sample-dir DIR write each job's sample series to DIR\n"
@@ -80,5 +80,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return preset_main(preset, argc, argv);
+  try {
+    return run_from_options(preset, opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

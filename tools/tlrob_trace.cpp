@@ -16,12 +16,15 @@
 //   profile=0|1    host self-profile to stderr (default 1)
 //   insts= / warmup= / max_cycles= and all sim/config_override.hpp machine
 //   knobs (scheme=, threshold=, policy=, rob1=, rob2=, ...) apply —
-//   including the CMP topology knobs (cores=, llc=, dram=, force_cmp=, the
-//   same grammar tlrob-campaign accepts). Any of those routes the run
-//   through CmpMachine: the Chrome trace then carries one process track per
-//   core plus a "shared backend" process with LLC MSHR-pool occupancy and
-//   per-bank DRAM row-state tracks, and the sample series is the machine-
-//   wide core-merged one. The machine runs on one host thread.
+//   including the CMP topology knobs (cores=, llc=, dram=, the same grammar
+//   tlrob-campaign accepts). Any other key exits 2 before simulating.
+//
+// Every run steps through CmpMachine (one core without a shared backend by
+// default): the Chrome trace carries one process track per core ("core0",
+// "core1", ...) plus, with a shared backend, a "shared backend" process
+// with LLC MSHR-pool occupancy and per-bank DRAM row-state tracks; the
+// sample series is the machine-wide core-merged one. The machine runs on
+// one host thread.
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -78,8 +81,7 @@ int main(int argc, char** argv) {
   MachineConfig cfg;
   cfg.num_threads = static_cast<u32>(benches.size());
   cfg = apply_overrides(cfg, opts);
-  // One benchmark per hardware thread, core-major (the legacy 1-core path
-  // degenerates to the old pad/trim behaviour).
+  // One benchmark per hardware thread, core-major.
   const size_t hw_threads = static_cast<size_t>(cfg.num_cores) * cfg.num_threads;
   while (benches.size() < hw_threads) benches.push_back(benches.back());
   if (benches.size() > hw_threads) benches.resize(hw_threads);
@@ -90,28 +92,17 @@ int main(int argc, char** argv) {
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
+  const std::string out_path = opts.get("out", "trace.json");
+  const std::string samples_path = opts.get("samples");
+  const std::string csv_path = opts.get("csv");
 
-  const bool cmp_engine = cfg.num_cores > 1 || cfg.llc.enabled || cfg.force_cmp_engine;
-  if (!cmp_engine) {
-    SmtCore core(cfg, benches);
-    obs::ChromeTraceWriter chrome;
-    core.attach_chrome_trace(&chrome);
-    const RunResult r = core.run(insts, max_cycles, warmup);
-
-    std::fprintf(stderr, "%llu cycles, %zu samples, %zu trace events\n",
-                 static_cast<unsigned long long>(r.cycles), r.samples.size(),
-                 chrome.event_count());
-
-    bool ok = write_to(opts.get("out", "trace.json"), "Chrome trace",
-                       [&](std::ostream& os) { chrome.write(os); });
-    if (opts.has("samples"))
-      ok &= write_to(opts.get("samples"), "sample series (JSONL)",
-                     [&](std::ostream& os) { r.samples.write_jsonl(os); });
-    if (opts.has("csv"))
-      ok &= write_to(opts.get("csv"), "sample series (CSV)",
-                     [&](std::ostream& os) { r.samples.write_csv(os); });
-    if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
-    return ok ? 0 : 1;
+  // Every key is read by now: one nothing read is a typo or a retired knob.
+  const std::vector<std::string> unread = opts.unread_keys();
+  if (!unread.empty()) {
+    std::fprintf(stderr, "error: tlrob-trace does not use key%s", unread.size() == 1 ? "" : "s");
+    for (const std::string& key : unread) std::fprintf(stderr, " %s=", key.c_str());
+    std::fprintf(stderr, "\n");
+    return 2;
   }
 
   CmpMachine machine(cfg, benches);
@@ -132,14 +123,14 @@ int main(int argc, char** argv) {
                machine.num_cores(), static_cast<unsigned long long>(r.cycles),
                r.samples.size(), events);
 
-  bool ok = write_to(opts.get("out", "trace.json"), "Chrome trace", [&](std::ostream& os) {
+  bool ok = write_to(out_path, "Chrome trace", [&](std::ostream& os) {
     obs::ChromeTraceWriter::write_merged(os, all);
   });
-  if (opts.has("samples"))
-    ok &= write_to(opts.get("samples"), "sample series (JSONL)",
+  if (!samples_path.empty())
+    ok &= write_to(samples_path, "sample series (JSONL)",
                    [&](std::ostream& os) { r.samples.write_jsonl(os); });
-  if (opts.has("csv"))
-    ok &= write_to(opts.get("csv"), "sample series (CSV)",
+  if (!csv_path.empty())
+    ok &= write_to(csv_path, "sample series (CSV)",
                    [&](std::ostream& os) { r.samples.write_csv(os); });
   if (cfg.telemetry.profile)
     machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
