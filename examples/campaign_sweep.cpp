@@ -2,11 +2,12 @@
 // sweep spec, run it on the work-stealing pool, stream records into JSON
 // lines and a custom sink, and read the aggregated result back.
 //
-//   ./campaign_sweep [insts=8000] [warmup=2000] [jobs=0]
+//   ./campaign_sweep [insts=8000] [warmup=2000] [jobs=0]   (--help lists them)
 #include <cstdio>
 #include <sstream>
 
 #include "common/config.hpp"
+#include "runner/cli.hpp"
 #include "runner/engine.hpp"
 #include "runner/render.hpp"
 #include "common/thread_pool.hpp"
@@ -36,11 +37,7 @@ class BestCellSink : public ResultSink {
   std::string best_;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
-
+int sweep(const Options& opts) {
   CampaignSpec spec;
   spec.name = "example_sweep";
   spec.columns = {
@@ -50,6 +47,8 @@ int main(int argc, char** argv) {
   };
   spec.mixes = {table2_mix(1), table2_mix(5), table2_mix(10)};
   spec.lengths = {{opts.get_u64("insts", 8000), opts.get_u64("warmup", 2000)}};
+  const u32 jobs = opts.get_u32("jobs", 0);
+  opts.reject_unread("campaign_sweep");
 
   std::ostringstream jsonl;
   JsonlSink json_sink(jsonl);
@@ -57,8 +56,7 @@ int main(int argc, char** argv) {
   FtTableSink table(stdout, "Example sweep: reactive threshold on three mixes");
 
   EngineOptions eng;
-  eng.jobs = WorkStealingPool::resolve_threads(
-      static_cast<u32>(opts.get_u64("jobs", 0)));
+  eng.jobs = WorkStealingPool::resolve_threads(jobs);
   eng.sinks = {&table, &json_sink, &best_sink};
 
   const CampaignResult result = run_campaign(spec, eng);
@@ -69,4 +67,10 @@ int main(int argc, char** argv) {
   std::printf("first JSON record:\n%s\n",
               jsonl.str().substr(0, jsonl.str().find('\n')).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli(argc, argv, tool_cli("campaign_sweep"), sweep);
 }

@@ -2,32 +2,17 @@
 // benchmark combination on any machine configuration and dump every
 // statistic the core collects.
 //
-//   ./simulate [bench names ...] [mix=N] [machine knobs] [run knobs]
-//   ./simulate --help      (or -h) prints the usage and exits
+//   ./simulate [bench names ...] [key=value ...]
+//   ./simulate --help      lists every key (run, machine and telemetry)
 //
 // Workload selection: either positional SPEC profile names (1..N, one per
 // hardware thread, e.g. `./simulate art mgrid crafty parser`) or `mix=N`
 // for a Table 2 mix. `threads=` defaults to the number of named benchmarks.
-//
-// Run knobs: insts=N (default 120000), warmup=N (default 60000),
-// max_cycles=N, stats=0|1 (dump all counters),
-// trace=START:END (pipeline event trace for that cycle window, to stderr).
-// Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
-// rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
-// llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
-// shape the CmpMachine every run steps through (one core without a shared
-// backend by default); the workload list is core-major and cores= splits
-// the machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x
-// 2 threads over the same four benchmarks. Pipeline trace / Chrome trace /
-// profile attach to core 0. A key nothing reads (a typo, a retired knob)
-// exits 2 before simulating, naming the key.
-//
-// Observability knobs (src/obs):
-//   sample=N           interval telemetry every N cycles
-//   sample_out=PATH    write the series as JSON lines ("-" = stdout)
-//   sample_csv=PATH    write the series as CSV ("-" = stdout)
-//   trace_json=PATH    Chrome trace-event JSON (open in ui.perfetto.dev)
-//   profile=1          host-side per-stage wall-time profile, to stderr
+// Every run steps through a CmpMachine (one core without a shared backend
+// by default); the workload list is core-major and cores= splits the
+// machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x 2
+// threads over the same four benchmarks. Pipeline trace / Chrome trace /
+// profile attach to core 0.
 //
 // Examples:
 //   ./simulate mix=1 scheme=rrob threshold=16
@@ -36,7 +21,6 @@
 //   ./simulate mix=2 scheme=rrob sample=1000 sample_out=series.jsonl
 //       trace_json=trace.json
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -44,6 +28,7 @@
 
 #include "common/config.hpp"
 #include "obs/chrome_trace.hpp"
+#include "runner/cli.hpp"
 #include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
@@ -53,49 +38,17 @@ using namespace tlrob;
 
 namespace {
 
-void print_usage() {
-  std::printf(
-      "usage: simulate [bench names ...] [mix=N] [machine knobs] [run knobs]\n"
-      "\n"
-      "workload: positional SPEC profile names (one per hardware thread) or\n"
-      "          mix=N for a Table 2 mix (default mix=1)\n"
-      "run knobs:\n"
-      "  insts=N            committed-instruction target (default 120000)\n"
-      "  warmup=N           warmup commits excluded from statistics (default 60000)\n"
-      "  max_cycles=N       cycle cap (0 = derived bound)\n"
-      "  stats=0|1          dump every counter\n"
-      "  trace=START:END    pipeline event trace for that cycle window, to stderr\n"
-      "machine knobs: see src/sim/config_override.hpp (scheme=, threshold=,\n"
-      "  policy=, rob1=, rob2=, l2_kb=, mem_lat=, seed=, cores=, llc=, dram=, ...)\n"
-      "observability knobs:\n"
-      "  sample=N           interval telemetry every N cycles\n"
-      "  sample_out=PATH    series as JSON lines ('-' = stdout)\n"
-      "  sample_csv=PATH    series as CSV ('-' = stdout)\n"
-      "  trace_json=PATH    Chrome trace-event JSON\n"
-      "  profile=1          host-side per-stage wall-time profile, to stderr\n"
-      "any other key exits 2 before simulating\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
-  if (opts.has("help") || opts.has("h")) {
-    print_usage();
-    return 0;
-  }
-
+int simulate(const Options& opts) {
   // --- workload ------------------------------------------------------------
   std::vector<Benchmark> benches;
   if (opts.has("mix")) {
-    benches = mix_benchmarks(table2_mix(static_cast<u32>(opts.get_u64("mix", 1))));
+    benches = mix_benchmarks(table2_mix(opts.get_u32("mix", 1)));
   } else {
     for (const std::string& name : opts.positional()) {
       if (!is_spec_benchmark(name)) {
-        std::fprintf(stderr, "unknown benchmark '%s'; available:", name.c_str());
-        for (const auto& b : spec_benchmarks()) std::fprintf(stderr, " %s", b.name.c_str());
-        std::fprintf(stderr, "\n");
-        return 1;
+        std::string known;
+        for (const auto& b : spec_benchmarks()) known += " " + b.name;
+        throw OptionError("unknown benchmark '" + name + "'; available:" + known);
       }
       benches.push_back(spec_benchmark(name));
     }
@@ -114,10 +67,9 @@ int main(int argc, char** argv) {
   // the whole workload list), matching tlrob-campaign's --cores semantics.
   const u32 cores = cfg.num_cores == 0 ? 1 : cfg.num_cores;
   if (cores > 1) {
-    if (cfg.num_threads % cores != 0) {
-      std::fprintf(stderr, "threads=%u not divisible by cores=%u\n", cfg.num_threads, cores);
-      return 1;
-    }
+    if (cfg.num_threads % cores != 0)
+      throw OptionError("threads=" + std::to_string(cfg.num_threads) +
+                        " not divisible by cores=" + std::to_string(cores));
     cfg.num_threads /= cores;
   }
   const size_t machine_threads = static_cast<size_t>(cfg.num_threads) * cores;
@@ -128,7 +80,16 @@ int main(int argc, char** argv) {
   const u64 warmup = opts.get_u64("warmup", 60000);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
   const bool dump_stats = opts.get_bool("stats", false);
+  // trace=START[:END] (END defaults to START + 200).
   const std::string trace_window = opts.get("trace");
+  Cycle trace_lo = 0, trace_hi = 0;
+  if (!trace_window.empty()) {
+    const auto colon = trace_window.find(':');
+    trace_lo = parse_unsigned("--trace", trace_window.substr(0, colon));
+    trace_hi = colon == std::string::npos
+                   ? trace_lo + 200
+                   : parse_unsigned("--trace", trace_window.substr(colon + 1));
+  }
 
   // --- observability -------------------------------------------------------
   cfg.telemetry.sample_interval = opts.get_u64("sample", cfg.telemetry.sample_interval);
@@ -140,13 +101,11 @@ int main(int argc, char** argv) {
     cfg.telemetry.sample_interval = 1000;  // asking for the series implies sampling
 
   // Every key is read by now: one nothing read is a typo or a retired knob.
-  const std::vector<std::string> unread = opts.unread_keys();
-  if (!unread.empty()) {
-    std::fprintf(stderr, "error: simulate does not use key%s", unread.size() == 1 ? "" : "s");
-    for (const std::string& key : unread) std::fprintf(stderr, " %s=", key.c_str());
-    std::fprintf(stderr, " (see simulate --help)\n");
-    return 2;
-  }
+  opts.reject_unread("simulate");
+  // Built before anything is printed, so a machine it rejects leaves stdout
+  // empty. The observability hooks attach to core 0 (per-core trace files
+  // would interleave unusably).
+  CmpMachine machine(cfg, benches);
 
   std::printf("%s", describe(cfg).c_str());
   std::printf("workload              ");
@@ -155,20 +114,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  // The observability hooks attach to core 0 (per-core trace files would
-  // interleave unusably).
-  CmpMachine machine(cfg, benches);
   if (cores > 1 && (!trace_window.empty() || !trace_json.empty() || cfg.telemetry.profile))
     std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
   SmtCore& core = machine.core(0);
-  if (!trace_window.empty()) {
-    const auto colon = trace_window.find(':');
-    const Cycle lo = std::strtoull(trace_window.c_str(), nullptr, 0);
-    const Cycle hi = colon == std::string::npos
-                         ? lo + 200
-                         : std::strtoull(trace_window.c_str() + colon + 1, nullptr, 0);
-    core.tracer().attach(&std::cerr, lo, hi);
-  }
+  if (!trace_window.empty()) core.tracer().attach(&std::cerr, trace_lo, trace_hi);
   obs::ChromeTraceWriter chrome;
   if (!trace_json.empty()) core.attach_chrome_trace(&chrome);
   const RunResult r = machine.run(insts, max_cycles, warmup);
@@ -224,4 +173,10 @@ int main(int argc, char** argv) {
       std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
   }
   return sinks_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli(argc, argv, runner::tool_cli("simulate"), simulate);
 }

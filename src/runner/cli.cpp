@@ -1,6 +1,6 @@
 #include "runner/cli.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -14,48 +14,100 @@ namespace tlrob::runner {
 
 namespace {
 
-/// Flags that never take a following-token value.
-bool is_bare_flag(const std::string& key) {
-  return key == "resume" || key == "per_job_seeds" || key == "no_render" ||
-         key == "list" || key == "help";
-}
-
-std::string normalise_key(std::string key) {
-  std::replace(key.begin(), key.end(), '-', '_');
-  return key;
+/// simulate's and tlrob-trace's keys: the workload and run length, `own`,
+/// then the machine knobs.
+std::vector<OptionKey> single_run_keys(const std::vector<OptionKey>& own) {
+  std::vector<OptionKey> keys = {
+      {"mix", "N", "Table 2 mix (default 1); SPEC profile names instead give one per thread"},
+      {"insts", "N", "committed-instruction target (default 120000)"},
+      {"warmup", "N", "warmup commits excluded from statistics (default 60000)"},
+      {"max_cycles", "N", "cycle cap (0 = derived bound)"}};
+  keys.insert(keys.end(), own.begin(), own.end());
+  keys.insert(keys.end(), machine_option_keys().begin(), machine_option_keys().end());
+  return keys;
 }
 
 }  // namespace
 
-Options parse_cli_args(int argc, const char* const* argv) {
-  std::vector<std::string> tokens;
-  for (int i = 1; i < argc; ++i) {
-    std::string tok = argv[i];
-    if (tok.size() > 1 && tok[0] == '-' && tok.find('=') == std::string::npos) {
-      size_t dashes = 0;
-      while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
-      const std::string key = normalise_key(tok.substr(dashes));
-      // A lone "-" is a value (stdout for --json/--csv), not a flag.
-      const bool next_is_value =
-          i + 1 < argc && (argv[i + 1][0] != '-' || std::string(argv[i + 1]) == "-") &&
-          std::string(argv[i + 1]).find('=') == std::string::npos;
-      if (!is_bare_flag(key) && next_is_value) {
-        tokens.push_back(key + "=" + argv[++i]);
-        continue;
-      }
-      tokens.push_back("--" + key);
-      continue;
-    }
-    const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      size_t dashes = 0;
-      while (dashes < eq && tok[dashes] == '-') ++dashes;
-      tokens.push_back(normalise_key(tok.substr(dashes, eq - dashes)) + tok.substr(eq));
-      continue;
-    }
-    tokens.push_back(tok);  // positional
-  }
-  return Options::from_tokens(tokens);
+const std::vector<CliSpec>& tool_clis() {
+  static const std::vector<CliSpec> clis = {
+      {"tlrob-campaign",
+       "[preset] [options]\n       tlrob-campaign --schemes a,b --thresholds n,m [options]",
+       {{"jobs", "N", "worker threads (0 = hardware concurrency; never more than cells)"},
+        {"insts", "N", "committed-instruction target per run (default 120000)"},
+        {"warmup", "N", "warmup commits excluded from statistics (default 60000)"},
+        {"json", "PATH", "JSON-lines sink ('-' = stdout)"},
+        {"csv", "PATH", "CSV sink ('-' = stdout)"},
+        {"manifest", "PATH", "completion journal enabling --resume"},
+        {"resume", "", "replay successful cells from the manifest"},
+        {"no_render", "", "suppress the stdout tables (sink-only run)"},
+        {"max_cycles", "N", "per-job cycle cap / timeout (0 = derived bound)"},
+        {"seed", "N", "base RNG seed (default 12345)"},
+        {"per_job_seeds", "", "derive a distinct deterministic seed per cell"},
+        {"sample_interval", "N", "interval telemetry every N cycles (0 = off)"},
+        {"sample_dir", "DIR", "write each job's series to DIR/samples_job<index>.jsonl"},
+        {"workload", "SPEC",
+         "per-thread workloads replacing the mixes (name,trace:F,tracegen:,mix:N)"},
+        {"schemes", "LIST", "sweep: baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive"},
+        {"thresholds", "LIST", "sweep: DoD thresholds crossed with the schemes (default 16)"},
+        {"mixes", "LIST", "sweep: 1-based Table 2 mix subset (default: all 11)"},
+        {"name", "NAME", "sweep: campaign name (default custom)"},
+        {"cores", "N", "sweep: split each column's threads over N cores"},
+        {"llc", "SPEC", "sweep: shared LLC size_kb[:ways[:latency[:mshrs]]]"},
+        {"dram", "SPEC", "sweep: DRAM channels[:banks[:tcas[:trcd[:trp]]]]"},
+        {"list", "", "list the presets and exit"}},
+       1},
+      {"simulate", "[bench names ...] [key=value ...]",
+       single_run_keys(
+           {{"stats", "", "dump every counter"},
+            {"trace", "START:END", "pipeline event trace for that cycle window, to stderr"},
+            {"sample", "N", "interval telemetry every N cycles"},
+            {"sample_out", "PATH", "series as JSON lines ('-' = stdout)"},
+            {"sample_csv", "PATH", "series as CSV ('-' = stdout)"},
+            {"trace_json", "PATH", "Chrome trace-event JSON of core 0"},
+            {"profile", "", "host-side per-stage wall-time profile, to stderr"}}),
+       SIZE_MAX},
+      {"tlrob-trace", "[bench names ...] [key=value ...]",
+       single_run_keys(
+           {{"out", "PATH", "Chrome trace JSON (default trace.json; '-' = stdout)"},
+            {"samples", "PATH", "interval series as JSON lines"},
+            {"csv", "PATH", "interval series as CSV"},
+            {"sample", "N", "sampling period in cycles (default 1000)"},
+            {"profile", "", "host self-profile to stderr (default on; profile=0 disables)"}}),
+       SIZE_MAX},
+      {"tlrob-mktrace", "--profile NAME --records N --out PATH [--seed N]",
+       {{"profile", "NAME", "synthetic SPEC profile to transcribe (--list names them)"},
+        {"records", "N", "dynamic instructions to emit, one 64-byte record each"},
+        {"out", "PATH", "output file; a '.gz' suffix selects gzip compression"},
+        {"seed", "N", "generator seed (default 1); same inputs give the same bytes"},
+        {"list", "", "list the available profiles and exit"}},
+       0},
+      {"tlrob-golden", "[--dir DIR] [--preset LIST] [--regen]",
+       {{"dir", "DIR", "fixture directory (default tests/golden)"},
+        {"preset", "LIST", "comma-separated presets to check (default: all)"},
+        {"regen", "", "rewrite the fixtures instead of checking them"}},
+       0},
+      {"tlrob-lint", "-p compile_commands.json [--root DIR] | --all-scopes [options] file...",
+       {{"p", "FILE", "compile database: repo mode lints every unit in it"},
+        {"root", "DIR", "repository root (default .)"},
+        {"design", "FILE", "DESIGN.md registry for rule D3 (repo mode: <root>/DESIGN.md)"},
+        {"rules", "LIST", "comma-separated rule ids to run (default: all)"},
+        {"all_scopes", "", "lint the named files with path scoping disabled"},
+        {"list_rules", "", "print the rule catalogue and exit"}},
+       SIZE_MAX},
+      {"campaign_sweep", "[key=value ...]",
+       {{"insts", "N", "committed-instruction target (default 8000)"},
+        {"warmup", "N", "warmup commits (default 2000)"},
+        {"jobs", "N", "worker threads (0 = hardware concurrency)"}},
+       0},
+  };
+  return clis;
+}
+
+const CliSpec& tool_cli(const std::string& name) {
+  for (const CliSpec& cli : tool_clis())
+    if (cli.name == name) return cli;
+  throw std::invalid_argument("no command line declared for " + name);
 }
 
 namespace {
@@ -84,9 +136,7 @@ CampaignSpec custom_campaign(const Options& opts) {
 
   auto schemes = opts.get_list("schemes");
   if (schemes.empty()) schemes = {"baseline32", "rrob"};
-  std::vector<u32> thresholds;
-  for (const auto& t : opts.get_list("thresholds"))
-    thresholds.push_back(static_cast<u32>(std::stoul(t)));
+  std::vector<u32> thresholds = opts.get_u32_list("thresholds");
   if (thresholds.empty()) thresholds = {16};
   for (const auto& scheme : schemes) {
     if (scheme == "baseline32" || scheme == "baseline128" || scheme == "baseline") {
@@ -102,7 +152,8 @@ CampaignSpec custom_campaign(const Options& opts) {
   // threads (4-thread Table 2 mixes become 2 cores x 2 threads) — so the
   // same mixes drive any core count.
   for (auto& c : spec.columns) {
-    const u32 cores = static_cast<u32>(opts.get_u64("cores", c.config.num_cores));
+    const u32 cores = opts.get_u32("cores", c.config.num_cores);
+    if (cores == 0) throw OptionError("--cores: expected at least 1, got '0'");
     if (cores > 1) {
       if (c.config.num_threads % cores != 0)
         throw std::invalid_argument("threads=" + std::to_string(c.config.num_threads) +
@@ -115,7 +166,7 @@ CampaignSpec custom_campaign(const Options& opts) {
   }
 
   const std::string workload = opts.get("workload", "");
-  const auto mix_ids = opts.get_list("mixes");
+  const std::vector<u32> mix_ids = opts.get_u32_list("mixes");
   if (!workload.empty()) {
     if (!mix_ids.empty())
       throw std::invalid_argument("--workload and --mixes are mutually exclusive");
@@ -134,8 +185,7 @@ CampaignSpec custom_campaign(const Options& opts) {
   } else if (mix_ids.empty()) {
     spec.mixes = table2_mixes();
   } else {
-    for (const auto& id : mix_ids)
-      spec.mixes.push_back(table2_mix(static_cast<u32>(std::stoul(id))));
+    for (const u32 id : mix_ids) spec.mixes.push_back(table2_mix(id));
   }
 
   spec.lengths = {{opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)}};
@@ -147,7 +197,9 @@ CampaignSpec custom_campaign(const Options& opts) {
   return spec;
 }
 
-int run_from_options(const std::string& preset, const Options& opts) {
+// A function-try-block: an option error anywhere in the run — a malformed
+// value, an unread key — exits 2 before any cell runs.
+int run_from_options(const std::string& preset, const Options& opts) try {
   // Read every option the run uses first, then reject, before any sink is
   // opened or any cell runs, every option nothing read: a misspelt or retired
   // flag, or a custom-sweep option given to a preset, must not quietly fall
@@ -157,7 +209,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
   const std::string json_path = opts.get("json");
   const std::string csv_path = opts.get("csv");
   const bool render = !opts.get_bool("no_render", false);
-  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  const u32 jobs = WorkStealingPool::resolve_threads(opts.get_u32("jobs", 0));
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
 
@@ -179,17 +231,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
     spec = custom_campaign(opts);
   }
 
-  const std::vector<std::string> unread = opts.unread_keys();
-  if (!unread.empty()) {
-    std::cerr << "error: " << (preset.empty() ? "a custom sweep" : "preset " + preset)
-              << " does not use option" << (unread.size() == 1 ? "" : "s");
-    for (std::string key : unread) {
-      std::replace(key.begin(), key.end(), '_', '-');
-      std::cerr << " --" << key;
-    }
-    std::cerr << " (see tlrob-campaign --help)\n";
-    return 2;
-  }
+  opts.reject_unread(preset.empty() ? "a custom sweep" : "preset " + preset);
 
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
@@ -233,8 +275,12 @@ int run_from_options(const std::string& preset, const Options& opts) {
 
   std::cerr << "campaign " << campaign_name << ": " << result.records.size() << " cells, "
             << result.ok << " ok, " << result.failed << " failed, " << result.resumed
-            << " resumed (" << jobs << " worker" << (jobs == 1 ? "" : "s") << ")\n";
+            << " resumed (" << result.workers << " worker" << (result.workers == 1 ? "" : "s")
+            << ")\n";
   return result.failed > 0 ? 1 : 0;
+} catch (const OptionError& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace tlrob::runner

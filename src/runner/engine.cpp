@@ -188,10 +188,13 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
     emitter.complete(execute_job(js), /*resumed=*/false);
   };
 
-  if (opts.jobs == 1) {
+  // Never more workers than cells: the rest would only start and idle.
+  const u64 threads = WorkStealingPool::resolve_threads(opts.jobs);
+  result.workers = static_cast<u32>(std::clamp<u64>(jobs.size(), 1, threads));
+  if (result.workers == 1) {
     for (const JobSpec& js : jobs) run_one(js);
   } else {
-    WorkStealingPool pool(opts.jobs);
+    WorkStealingPool pool(result.workers);
     for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js); });
     pool.wait_idle();
   }

@@ -28,7 +28,7 @@ namespace tlrob::runner {
 
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = run inline (serial
-  /// reference mode, no pool).
+  /// reference mode, no pool). The pool never exceeds the cell count.
   u32 jobs = 1;
 
   /// Sinks receiving records in expansion order. Not owned.
@@ -47,6 +47,7 @@ struct CampaignResult {
   u32 ok = 0;       // ran to the commit target this time
   u32 failed = 0;   // threw, or hit the cycle cap
   u32 resumed = 0;  // replayed from the manifest without re-running
+  u32 workers = 0;  // threads that ran cells: min(resolved jobs, cells), at least 1
 };
 
 /// Executes one cell. Exposed for tests and for callers that want a single

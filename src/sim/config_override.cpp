@@ -27,38 +27,80 @@ FetchPolicyKind parse_fetch_policy(const std::string& name) {
                               " (expected dcra|icount|stall|flush|rr)");
 }
 
+const std::vector<OptionKey>& machine_option_keys() {
+  static const std::vector<OptionKey> keys = {
+      {"threads", "N", "hardware threads per core"},
+      {"fetch_width", "N", "instructions fetched per cycle"},
+      {"fetch_threads", "N", "threads fetched from per cycle"},
+      {"dispatch_width", "N", "instructions dispatched per cycle"},
+      {"issue_width", "N", "instructions issued per cycle"},
+      {"commit_width", "N", "instructions committed per cycle"},
+      {"decode_depth", "N", "front-end pipeline depth in cycles"},
+      {"frontend_buffer", "N", "fetch-to-dispatch buffer entries per thread"},
+      {"rob1", "N", "first-level ROB entries per thread"},
+      {"rob2", "N", "shared second-level ROB entries"},
+      {"iq", "N", "issue-queue entries"},
+      {"lsq", "N", "load/store-queue entries"},
+      {"int_regs", "N", "integer physical registers"},
+      {"fp_regs", "N", "floating-point physical registers"},
+      {"shared_regfile", "", "one register file shared by all threads"},
+      {"reg_reserve", "N", "registers reserved for the second-level ROB"},
+      {"policy", "NAME", "fetch policy: dcra|icount|stall|flush|rr"},
+      {"scheme", "NAME", "ROB scheme: baseline|rrob|relaxed|cdr|prob|adaptive"},
+      {"threshold", "N", "DoD threshold of the two-level schemes"},
+      {"recheck", "N", "reactive re-check interval in cycles"},
+      {"cdr_delay", "N", "CDR snapshot delay in cycles"},
+      {"lease", "N", "second-level lease limit in cycles"},
+      {"cooldown", "N", "cycles a thread waits after its lease ends"},
+      {"predictor_entries", "N", "DoD predictor entries"},
+      {"l2_kb", "N", "L2 size in KB"},
+      {"l2_ways", "N", "L2 associativity"},
+      {"l1d_kb", "N", "L1D size in KB"},
+      {"l1i_kb", "N", "L1I size in KB"},
+      {"mem_lat", "N", "memory latency to the first chunk in cycles"},
+      {"interchunk", "N", "cycles per further memory chunk"},
+      {"critical_bytes", "N", "bytes of the critical first chunk"},
+      {"mshr", "N", "memory-channel MSHR entries"},
+      {"dcra_sharing", "X", "DCRA slow-thread sharing factor"},
+      {"seed", "N", "workload RNG seed"},
+      {"cores", "N", "CMP cores; splits the machine-wide thread count"},
+      {"llc", "SPEC", "shared LLC size_kb[:ways[:latency[:mshrs]]]"},
+      {"dram", "SPEC", "DRAM channels[:banks[:tcas[:trcd[:trp]]]]"},
+      {"audit", "LEVEL", "invariant audit: off|cheap|full"},
+      {"audit_cheap_interval", "N", "cycles between cheap audits"},
+      {"audit_full_interval", "N", "cycles between full audits"},
+      {"audit_abort", "", "abort on an audit violation (=0 records it instead)"},
+  };
+  return keys;
+}
+
 namespace {
 
-/// Splits a ":"-separated spec into up to `max_fields` u64s (missing fields
-/// keep their defaults; extra fields are an error).
-std::vector<u64> parse_spec_fields(const std::string& spec, size_t max_fields,
-                                   const char* what) {
+/// Splits a ":"-separated spec into at most `max.size()` numbers, field i
+/// no greater than max[i] (missing fields keep their defaults).
+std::vector<u64> parse_spec_fields(const std::string& spec, const std::vector<u64>& max,
+                                   const char* key) {
   std::vector<u64> fields;
   size_t pos = 0;
   while (pos <= spec.size()) {
     const size_t colon = spec.find(':', pos);
+    if (fields.size() == max.size())
+      throw OptionError(option_flag(key) + ": too many fields in '" + spec + "'");
     const std::string field =
         colon == std::string::npos ? spec.substr(pos) : spec.substr(pos, colon - pos);
-    try {
-      size_t used = 0;
-      fields.push_back(std::stoull(field, &used));
-      if (used != field.size()) throw std::invalid_argument(field);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string(what) + " spec: bad field \"" + field + "\" in \"" +
-                                  spec + "\"");
-    }
+    fields.push_back(parse_unsigned(option_flag(key) + " '" + spec + "'", field,
+                                    max[fields.size()]));
     if (colon == std::string::npos) break;
     pos = colon + 1;
   }
-  if (fields.size() > max_fields)
-    throw std::invalid_argument(std::string(what) + " spec: too many fields in \"" + spec + "\"");
   return fields;
 }
 
 }  // namespace
 
 void apply_llc_spec(LlcConfig& llc, const std::string& spec) {
-  const std::vector<u64> f = parse_spec_fields(spec, 4, "llc");
+  const std::vector<u64> f =
+      parse_spec_fields(spec, {UINT64_MAX >> 10, UINT32_MAX, UINT32_MAX, UINT32_MAX}, "llc");
   llc.enabled = true;
   if (f.size() > 0) llc.geo.size_bytes = f[0] << 10;
   if (f.size() > 1) llc.geo.ways = static_cast<u32>(f[1]);
@@ -67,7 +109,8 @@ void apply_llc_spec(LlcConfig& llc, const std::string& spec) {
 }
 
 void apply_dram_spec(DramConfig& dram, const std::string& spec) {
-  const std::vector<u64> f = parse_spec_fields(spec, 5, "dram");
+  const std::vector<u64> f = parse_spec_fields(
+      spec, {UINT32_MAX, UINT32_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX}, "dram");
   if (f.size() > 0) dram.channels = static_cast<u32>(f[0]);
   if (f.size() > 1) dram.banks_per_channel = static_cast<u32>(f[1]);
   if (f.size() > 2) dram.tcas = f[2];
@@ -76,9 +119,7 @@ void apply_dram_spec(DramConfig& dram, const std::string& spec) {
 }
 
 MachineConfig apply_overrides(MachineConfig cfg, const Options& opts) {
-  auto u32opt = [&](const char* key, u32& field) {
-    field = static_cast<u32>(opts.get_u64(key, field));
-  };
+  auto u32opt = [&](const char* key, u32& field) { field = opts.get_u32(key, field); };
   u32opt("threads", cfg.num_threads);
   u32opt("fetch_width", cfg.fetch_width);
   u32opt("fetch_threads", cfg.fetch_threads);
@@ -105,10 +146,11 @@ MachineConfig apply_overrides(MachineConfig cfg, const Options& opts) {
   cfg.rob.lease_cooldown = opts.get_u64("cooldown", cfg.rob.lease_cooldown);
   u32opt("predictor_entries", cfg.rob.predictor_entries);
 
-  if (opts.has("l2_kb")) cfg.memory.l2.size_bytes = opts.get_u64("l2_kb", 0) << 10;
+  constexpr u64 kMaxKb = UINT64_MAX >> 10;
+  if (opts.has("l2_kb")) cfg.memory.l2.size_bytes = opts.get_u64("l2_kb", 0, kMaxKb) << 10;
   u32opt("l2_ways", cfg.memory.l2.ways);
-  if (opts.has("l1d_kb")) cfg.memory.l1d.size_bytes = opts.get_u64("l1d_kb", 0) << 10;
-  if (opts.has("l1i_kb")) cfg.memory.l1i.size_bytes = opts.get_u64("l1i_kb", 0) << 10;
+  if (opts.has("l1d_kb")) cfg.memory.l1d.size_bytes = opts.get_u64("l1d_kb", 0, kMaxKb) << 10;
+  if (opts.has("l1i_kb")) cfg.memory.l1i.size_bytes = opts.get_u64("l1i_kb", 0, kMaxKb) << 10;
   cfg.memory.channel.first_chunk = opts.get_u64("mem_lat", cfg.memory.channel.first_chunk);
   cfg.memory.channel.interchunk = opts.get_u64("interchunk", cfg.memory.channel.interchunk);
   u32opt("critical_bytes", cfg.memory.channel.critical_bytes);
@@ -120,6 +162,7 @@ MachineConfig apply_overrides(MachineConfig cfg, const Options& opts) {
   // explicit llc spec still gets the shared backend (default LLC geometry);
   // an llc spec alone builds a 1-core machine with an LLC.
   u32opt("cores", cfg.num_cores);
+  if (cfg.num_cores == 0) throw OptionError("--cores: expected at least 1, got '0'");
   if (opts.has("llc")) apply_llc_spec(cfg.llc, opts.get("llc"));
   if (opts.has("dram")) apply_dram_spec(cfg.dram, opts.get("dram"));
 

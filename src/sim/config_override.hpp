@@ -1,33 +1,25 @@
 // Command-line overrides for MachineConfig — the sim-outorder-style knobs a
-// downstream user expects. Keys are flat "name=value" options (see
-// common/config.hpp). apply_overrides reads only the keys below and leaves
-// the rest to the calling tool, which reads its own keys and then rejects
-// every key nothing read (Options::unread_keys), so a typo or a retired knob
+// downstream user expects. machine_option_keys() declares every key
+// apply_overrides reads (tools append it to their own table, so `--help`
+// lists them); the calling tool reads its own keys and then rejects every
+// key nothing read (Options::reject_unread), so a typo or a retired knob
 // exits 2 instead of running the default.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "sim/presets.hpp"
 
 namespace tlrob {
 
-/// Applies recognised overrides onto `cfg`. Supported keys:
-///   threads, fetch_width, fetch_threads, dispatch_width, issue_width,
-///   commit_width, decode_depth, frontend_buffer,
-///   rob1 (first-level entries), rob2 (second-level entries), iq, lsq,
-///   int_regs, fp_regs, shared_regfile (0/1), reg_reserve,
-///   policy (dcra|icount|stall|flush|rr),
-///   scheme (baseline|rrob|relaxed|cdr|prob), threshold, recheck, cdr_delay,
-///   lease, cooldown, predictor_entries,
-///   l2_kb, l2_ways, l1d_kb, l1i_kb, mem_lat, interchunk, critical_bytes,
-///   mshr, dcra_sharing, seed,
-///   cores (CMP core count; > 1 enables the shared LLC/DRAM backend),
-///   llc (spec string, see apply_llc_spec), dram (see apply_dram_spec),
-///   audit (off|cheap|full), audit_cheap_interval, audit_full_interval,
-///   audit_abort (0/1).
-/// Throws std::invalid_argument on an unrecognised policy/scheme value.
+/// The machine knobs, declared once: name, value label, help line.
+const std::vector<OptionKey>& machine_option_keys();
+
+/// Applies the machine_option_keys() present in `opts` onto `cfg`. Throws
+/// OptionError on a malformed value and std::invalid_argument on an
+/// unrecognised policy/scheme/audit name.
 MachineConfig apply_overrides(MachineConfig cfg, const Options& opts);
 
 /// Parses an LLC spec "size_kb[:ways[:latency[:mshr]]]" (e.g. "8192:16:24:32")

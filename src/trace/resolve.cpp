@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "common/sync.hpp"
 #include "trace/source.hpp"
 #include "trace/synth.hpp"
@@ -41,16 +42,11 @@ TraceGenSpec parse_tracegen(const std::string& name) {
   if (!is_spec_benchmark(spec.profile))
     throw std::invalid_argument("unknown profile '" + spec.profile + "' in workload '" + name +
                                 "'\n" + workload_backends_help());
-  std::string rest = body.substr(at1 + 1);
+  const std::string rest = body.substr(at1 + 1);
   const auto at2 = rest.find('@');
-  std::string records_str = rest.substr(0, at2);
-  try {
-    spec.records = std::stoull(records_str);
-    if (at2 != std::string::npos) spec.seed = std::stoull(rest.substr(at2 + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("malformed workload '" + name +
-                                "': record count and seed must be integers");
-  }
+  spec.records = parse_unsigned("record count in workload '" + name + "'", rest.substr(0, at2));
+  if (at2 != std::string::npos)
+    spec.seed = parse_unsigned("seed in workload '" + name + "'", rest.substr(at2 + 1));
   if (spec.records == 0)
     throw std::invalid_argument("malformed workload '" + name + "': record count must be > 0");
   return spec;
@@ -116,13 +112,8 @@ Mix workload_mix(const std::string& spec) {
   if (spec.empty())
     throw std::invalid_argument("empty workload specification\n" + workload_backends_help());
   if (has_prefix(spec, "mix:")) {
-    u32 index = 0;
-    try {
-      index = static_cast<u32>(std::stoul(spec.substr(4)));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed workload '" + spec + "': expected mix:<1..11>");
-    }
-    return table2_mix(index);
+    const u64 index = parse_unsigned("workload '" + spec + "'", spec.substr(4), UINT32_MAX);
+    return table2_mix(static_cast<u32>(index));
   }
 
   Mix mix;

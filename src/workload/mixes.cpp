@@ -1,6 +1,7 @@
 #include "workload/mixes.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "workload/spec_profiles.hpp"
 
@@ -29,7 +30,8 @@ const std::vector<Mix>& table2_mixes() {
 const Mix& table2_mix(u32 index) {
   const auto& mixes = table2_mixes();
   if (index < 1 || index > mixes.size())
-    throw std::out_of_range("mix index must be 1..11");
+    throw std::out_of_range("mix index must be 1.." + std::to_string(mixes.size()) + ", got " +
+                            std::to_string(index));
   return mixes[index - 1];
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "runner/cli.hpp"
 
 namespace tlrob {
 namespace {
@@ -243,22 +246,228 @@ TEST(FlatMap, EmptyMapBehaves) {
   EXPECT_EQ(m.begin(), m.end());
 }
 
+/// Options::parse over a test argv (argv[0] is added).
+Options parse_args(std::vector<const char*> args, const std::vector<OptionKey>& keys) {
+  args.insert(args.begin(), "prog");
+  return Options::parse(static_cast<int>(args.size()), args.data(), keys);
+}
+
+const std::vector<OptionKey> kKeys = {
+    {"insts", "N", ""}, {"scheme", "NAME", ""}, {"verbose", "", ""}, {"max_cycles", "N", ""}};
+
 TEST(Options, ParsesKeyValueAndFlags) {
-  const char* argv[] = {"prog", "insts=5000", "--scheme=rrob", "--verbose", "mix3"};
-  const Options o = Options::from_args(5, argv);
+  const Options o = parse_args(
+      {"insts=5000", "--scheme=rrob", "--verbose", "mix3", "--max-cycles", "7", "-"}, kKeys);
   EXPECT_EQ(o.get_u64("insts", 0), 5000u);
   EXPECT_EQ(o.get("scheme"), "rrob");
   EXPECT_TRUE(o.get_bool("verbose", false));
-  ASSERT_EQ(o.positional().size(), 1u);
-  EXPECT_EQ(o.positional()[0], "mix3");
+  EXPECT_EQ(o.get_u64("max_cycles", 0), 7u);
+  // A name and a lone "-" are positional; a flag never takes the next token.
+  EXPECT_EQ(o.positional(), (std::vector<std::string>{"mix3", "-"}));
+  EXPECT_EQ(parse_args({"--verbose", "1"}, kKeys).positional(), std::vector<std::string>{"1"});
 }
 
 TEST(Options, FallbacksAndBoolSpellings) {
-  const Options o = Options::from_tokens({"flag=off", "n=0x10"});
+  Options o;
+  o.set("flag", "off");
+  o.set("n", "0x10");
+  o.set("zero_led", "010");
   EXPECT_FALSE(o.get_bool("flag", true));
   EXPECT_EQ(o.get_u64("n", 0), 16u);
+  EXPECT_EQ(o.get_u64("zero_led", 0), 10u);  // a leading zero stays decimal
   EXPECT_EQ(o.get_u64("absent", 7), 7u);
   EXPECT_DOUBLE_EQ(o.get_double("absent", 1.5), 1.5);
+  for (const char* yes : {"1", "true", "yes", "on"}) {
+    o.set("b", yes);
+    EXPECT_TRUE(o.get_bool("b", false)) << yes;
+  }
+  for (const char* no : {"0", "false", "no", "off"}) {
+    o.set("b", no);
+    EXPECT_FALSE(o.get_bool("b", true)) << no;
+  }
+  for (const char* bad : {"maybe", "2", "", "TRUE"}) {
+    o.set("b", bad);
+    EXPECT_THROW(o.get_bool("b", false), OptionError) << bad;
+  }
+}
+
+/// "'text'", built in steps: GCC 12's -O3 -Wrestrict misfires on
+/// "'" + std::string(text) + "'" (PR105329).
+std::string quoted(const char* text) {
+  std::string q = "'";
+  q += text;
+  q += '\'';
+  return q;
+}
+
+/// EXPECT that `fn` throws OptionError whose message holds every `parts`.
+template <typename Fn>
+void expect_option_error(Fn fn, std::vector<std::string> parts) {
+  try {
+    fn();
+    ADD_FAILURE() << "no OptionError; expected one naming " << parts.front();
+  } catch (const OptionError& e) {
+    for (const std::string& part : parts)
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos) << e.what();
+  }
+}
+
+TEST(Options, MalformedNumbersThrowNamingTheKeyAndValue) {
+  for (const char* bad : {"abc", "1x", "-5", "+5", "1e3", "", " 5", "0x", "0xg",
+                          "18446744073709551616"}) {
+    Options o;
+    o.set("insts", bad);
+    expect_option_error([&] { o.get_u64("insts", 0); }, {"--insts", quoted(bad)});
+  }
+  Options o;
+  o.set("threads", "4294967296");
+  expect_option_error([&] { o.get_u32("threads", 0); }, {"--threads", "4294967296"});
+  o.set("threads", "4294967295");
+  EXPECT_EQ(o.get_u32("threads", 0), 4294967295u);
+  o.set("list", "1,16abc");
+  expect_option_error([&] { o.get_u32_list("list"); }, {"--list", "16abc"});
+  o.set("list", "1,0x10");
+  EXPECT_EQ(o.get_u32_list("list"), (std::vector<u32>{1, 16}));
+  for (const char* bad : {"1,,5", "", ",", "5,"}) {  // an empty list would run the default
+    o.set("list", bad);
+    expect_option_error([&] { o.get_list("list"); }, {"--list", quoted(bad)});
+  }
+  o.set("ratio", "0.25");
+  EXPECT_DOUBLE_EQ(o.get_double("ratio", 0), 0.25);
+  for (const char* bad : {"-1", "abc", "1.5x", "inf", "nan", ""}) {
+    o.set("ratio", bad);
+    expect_option_error([&] { o.get_double("ratio", 0); }, {"--ratio"});
+  }
+  EXPECT_EQ(parse_unsigned("what", "0X1f"), 31u);
+  EXPECT_EQ(parse_unsigned("what", "18446744073709551615"), UINT64_MAX);
+  expect_option_error([] { parse_unsigned("what", "256", 255); }, {"what", "256"});
+}
+
+TEST(Options, DashedTokenAfterAValueKeyIsItsValue) {
+  // `--insts -5` is a malformed --insts, not a flag named "5".
+  const Options o = parse_args({"--insts", "-5"}, kKeys);
+  EXPECT_TRUE(o.positional().empty());
+  expect_option_error([&] { o.get_u64("insts", 0); }, {"--insts", "'-5'"});
+  EXPECT_NO_THROW(o.reject_unread("test"));
+}
+
+TEST(Options, RepeatedKeysAndMissingValuesThrow) {
+  expect_option_error([] { parse_args({"--insts", "5", "--insts", "7"}, kKeys); },
+                      {"--insts", "more than once"});
+  expect_option_error([] { parse_args({"insts=5", "--insts=5"}, kKeys); }, {"--insts"});
+  expect_option_error([] { parse_args({"max_cycles=1", "--max-cycles=1"}, kKeys); },
+                      {"--max-cycles"});
+  expect_option_error([] { parse_args({"--insts"}, kKeys); }, {"--insts", "expected a value"});
+  expect_option_error([] { parse_args({"--insts", "--verbose"}, kKeys); }, {"--insts"});
+}
+
+TEST(Options, UndeclaredKeysAreReportedUnreadAndCannotBeRead) {
+  const Options o = parse_args({"--sed", "7", "--verbose", "--force-cmp"}, kKeys);
+  EXPECT_TRUE(o.positional().empty());
+  EXPECT_TRUE(o.get_bool("verbose", false));
+  expect_option_error([&] { o.reject_unread("simulate"); },
+                      {"simulate does not use keys force_cmp= sed="});
+  // Reading a key the table does not declare is a program bug: --help would
+  // not list it.
+  EXPECT_THROW(o.get("sed"), std::logic_error);
+}
+
+// For every declared key of every tool, the spellings the grammar accepts
+// parse to the same value, and the generated help lists the key.
+TEST(Options, EveryDeclaredKeyParsesTheSameInEverySpelling) {
+  for (const CliSpec& cli : runner::tool_clis()) {
+    const std::string help = cli_help(cli);
+    std::set<std::string> names;
+    for (const OptionKey& key : cli.keys) {
+      const std::string name = key.name;
+      const std::string flag = option_flag(name);
+      EXPECT_TRUE(names.insert(name).second) << cli.name << " declares " << name << " twice";
+      EXPECT_NE(help.find("  " + flag), std::string::npos) << cli.name << " " << flag;
+      const bool is_flag = *key.value == '\0';
+      const std::string v = is_flag ? "1" : "0x1f";
+      std::vector<std::vector<std::string>> spellings = {
+          {name + "=" + v}, {"--" + name + "=" + v}, {flag + "=" + v}};
+      if (is_flag)
+        spellings.push_back({flag});
+      else
+        spellings.push_back({flag, v}), spellings.push_back({"--" + name, v});
+      for (const auto& spelling : spellings) {
+        std::vector<const char*> args;
+        for (const std::string& tok : spelling) args.push_back(tok.c_str());
+        const Options o = parse_args(args, cli.keys);
+        EXPECT_EQ(o.get(name), v) << cli.name << ": " << spelling.front();
+        EXPECT_TRUE(o.positional().empty()) << cli.name << ": " << spelling.front();
+        EXPECT_NO_THROW(o.reject_unread(cli.name));
+      }
+    }
+  }
+}
+
+// Seeded random token streams drawn from the campaign's keys, separators,
+// numbers and junk: parse and every getter either succeed or throw
+// OptionError, never anything else (run under ASan/UBSan in CI).
+TEST(Options, RandomTokensNeverCrash) {
+  const std::vector<OptionKey>& keys = runner::tool_cli("tlrob-campaign").keys;
+  const std::vector<std::string> pieces = {"-", "--", "=", ",", "0x", "1", "42", "-5", "abc",
+                                           "4294967296", "18446744073709551616", "", "fig2",
+                                           "max-cycles", "jobs", "resume", "h", "help", "x_y"};
+  Rng rng(2026);
+  for (int round = 0; round < 3000; ++round) {
+    std::vector<std::string> tokens;
+    const u64 count = rng.below(6);
+    for (u64 t = 0; t < count; ++t) {
+      std::string tok;
+      const u64 parts = 1 + rng.below(3);
+      for (u64 p = 0; p < parts; ++p) {
+        tok += rng.below(3) == 0 ? pieces[rng.below(pieces.size())]
+                                 : keys[rng.below(keys.size())].name;
+      }
+      tokens.push_back(tok);
+    }
+    std::vector<const char*> args;
+    for (const std::string& tok : tokens) args.push_back(tok.c_str());
+    try {
+      const Options o = parse_args(args, keys);
+      for (const OptionKey& key : keys) {
+        try {
+          (void)o.get_u64(key.name, 0);
+        } catch (const OptionError&) {
+        }
+        try {
+          (void)o.get_bool(key.name, false);
+        } catch (const OptionError&) {
+        }
+        try {
+          (void)o.get_u32_list(key.name);
+        } catch (const OptionError&) {
+        }
+      }
+      try {
+        o.reject_unread("fuzz");
+      } catch (const OptionError&) {
+      }
+    } catch (const OptionError&) {
+      // A repeated key or a value key without a value.
+    }
+  }
+}
+
+TEST(Options, RunCliExitsTwoOnBadInputAndPassesTheBodysCode) {
+  const CliSpec cli{"tool", "[key=value ...]", {{"insts", "N", "target"}}, 1};
+  auto run = [&](std::vector<const char*> args) {
+    args.insert(args.begin(), "tool");
+    return run_cli(static_cast<int>(args.size()), args.data(), cli, [](const Options& o) {
+      const u64 insts = o.get_u64("insts", 3);
+      o.reject_unread("tool");
+      return static_cast<int>(insts);
+    });
+  };
+  EXPECT_EQ(run({}), 3);
+  EXPECT_EQ(run({"--insts", "5", "one"}), 5);
+  EXPECT_EQ(run({"one", "two"}), 2);        // surplus positional
+  EXPECT_EQ(run({"--insts", "5x"}), 2);      // malformed value
+  EXPECT_EQ(run({"--insts", "1", "insts=1"}), 2);  // repeated key
+  EXPECT_EQ(run({"--sed", "7"}), 2);         // undeclared key
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
@@ -98,8 +99,14 @@ TEST(ConfigOverride, ParsesSchemesAndPolicies) {
   EXPECT_THROW(parse_fetch_policy("bogus"), std::invalid_argument);
 }
 
+/// Parses `args` against the machine-knob table, as simulate does.
+Options machine_options(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return Options::parse(static_cast<int>(args.size()), args.data(), machine_option_keys());
+}
+
 TEST(ConfigOverride, AppliesMachineKnobs) {
-  const Options opts = Options::from_tokens(
+  const Options opts = machine_options(
       {"threads=2", "rob1=64", "rob2=128", "iq=32", "scheme=cdr", "threshold=7",
        "policy=stall", "l2_kb=1024", "mem_lat=300", "shared_regfile=1", "seed=99",
        "lease=1234", "mshr=8"});
@@ -121,15 +128,31 @@ TEST(ConfigOverride, AppliesMachineKnobs) {
 
 TEST(ConfigOverride, LeavesDefaultsAlone) {
   const MachineConfig base = baseline32_config();
-  const MachineConfig cfg = apply_overrides(base, Options::from_tokens({}));
+  const MachineConfig cfg = apply_overrides(base, machine_options({}));
   EXPECT_EQ(cfg.num_threads, base.num_threads);
   EXPECT_EQ(cfg.rob_first_level, base.rob_first_level);
   EXPECT_EQ(cfg.fetch_policy, base.fetch_policy);
   EXPECT_EQ(cfg.seed, base.seed);
 }
 
+// The declared table and apply_overrides agree: every declared knob is read
+// (none would be reported unused), and nothing undeclared is read (parse
+// turns such a lookup into a logic_error).
+TEST(ConfigOverride, ReadsExactlyTheDeclaredKeys) {
+  for (const OptionKey& key : machine_option_keys()) {
+    const std::string token = std::string(key.name) + "=1";
+    const Options opts = machine_options({token.c_str()});
+    try {
+      apply_overrides(baseline32_config(), opts);
+    } catch (const std::invalid_argument&) {
+      // "1" is no scheme/policy/audit name; the key was still read.
+    }
+    EXPECT_NO_THROW(opts.reject_unread("test")) << key.name;
+  }
+}
+
 TEST(ConfigOverride, OverriddenMachineRuns) {
-  const Options opts = Options::from_tokens({"threads=2", "scheme=rrob", "threshold=12"});
+  const Options opts = machine_options({"threads=2", "scheme=rrob", "threshold=12"});
   MachineConfig cfg = apply_overrides(baseline32_config(), opts);
   cfg.rob_second_level = 384;
   SmtCore core(cfg, {spec_benchmark("art"), spec_benchmark("crafty")});

@@ -385,7 +385,7 @@ TEST(RunnerEngine, ResumeIsManifestLineOrderIndependent) {
 TEST(RunnerCli, ParsesMixedOptionForms) {
   const char* argv[] = {"prog",   "fig2",         "--jobs",   "4",
                         "--insts=2000", "warmup=500", "--resume", "--max-cycles", "123"};
-  const Options opts = parse_cli_args(9, argv);
+  const Options opts = Options::parse(9, argv, tool_cli("tlrob-campaign").keys);
   EXPECT_EQ(opts.get_u64("jobs", 0), 4u);
   EXPECT_EQ(opts.get_u64("insts", 0), 2000u);
   EXPECT_EQ(opts.get_u64("warmup", 0), 500u);
@@ -397,7 +397,7 @@ TEST(RunnerCli, ParsesMixedOptionForms) {
 
 TEST(RunnerCli, LoneDashIsASinkPathNotAFlag) {
   const char* argv[] = {"prog", "fig1", "--json", "-", "--csv", "-", "--no-render"};
-  const Options opts = parse_cli_args(7, argv);
+  const Options opts = Options::parse(7, argv, tool_cli("tlrob-campaign").keys);
   EXPECT_EQ(opts.get("json", ""), "-");
   EXPECT_EQ(opts.get("csv", ""), "-");
   EXPECT_TRUE(opts.get_bool("no_render", false));
@@ -412,7 +412,8 @@ std::vector<std::string> preset_records(const std::string& preset,
   std::vector<const char*> argv = {"prog",    preset.c_str(), "--json", "-", "--no-render",
                                    "--insts", "1000",         "--warmup", "200"};
   argv.insert(argv.end(), extra.begin(), extra.end());
-  const Options opts = parse_cli_args(static_cast<int>(argv.size()), argv.data());
+  const Options opts = Options::parse(static_cast<int>(argv.size()), argv.data(),
+                                      tool_cli("tlrob-campaign").keys);
   std::ostringstream captured;
   std::streambuf* saved = std::cout.rdbuf(captured.rdbuf());
   const int code = run_from_options(preset, opts);
@@ -456,12 +457,15 @@ TEST(RunnerCli, PresetsHonourSeedPerJobSeedsAndMaxCycles) {
 }
 
 /// Runs the CLI front end on `args` (preset first, or none for a custom
-/// sweep) and returns the exit code; `out` receives stdout.
-int cli_exit_code(const std::string& preset, std::vector<const char*> args, std::string* out) {
+/// sweep) and returns the exit code; `out` receives stdout and `err`, when
+/// given, stderr.
+int cli_exit_code(const std::string& preset, std::vector<const char*> args, std::string* out,
+                  std::string* err = nullptr) {
   std::vector<const char*> argv = {"prog"};
   if (!preset.empty()) argv.push_back(preset.c_str());
   argv.insert(argv.end(), args.begin(), args.end());
-  const Options opts = parse_cli_args(static_cast<int>(argv.size()), argv.data());
+  const Options opts = Options::parse(static_cast<int>(argv.size()), argv.data(),
+                                      tool_cli("tlrob-campaign").keys);
   std::ostringstream captured, errors;
   std::streambuf* saved_out = std::cout.rdbuf(captured.rdbuf());
   std::streambuf* saved_err = std::cerr.rdbuf(errors.rdbuf());
@@ -469,6 +473,7 @@ int cli_exit_code(const std::string& preset, std::vector<const char*> args, std:
   std::cout.rdbuf(saved_out);
   std::cerr.rdbuf(saved_err);
   *out = captured.str();
+  if (err != nullptr) *err = errors.str();
   return code;
 }
 
@@ -511,6 +516,48 @@ TEST(RunnerCli, CustomSweepAcceptsItsOwnOptions) {
                           &out),
             0);
   EXPECT_NE(out.find("\"llc.accesses\""), std::string::npos) << out;
+}
+
+// A malformed value exits 2, naming the key and value, before any cell runs.
+TEST(RunnerCli, MalformedValuesExitTwoBeforeAnyCellRuns) {
+  struct Row {
+    const char* preset;
+    const char* flag;
+    const char* value;
+  };
+  const std::vector<Row> rows = {
+      {"fig1", "--jobs", "x"},       {"fig1", "--jobs", "4294967297"},
+      {"fig1", "--insts", "-5"},     {"fig1", "--resume", "maybe"},
+      {"fig1", "--seed", "1e3"},     {"fig1", "--max-cycles", ""},
+      {"", "--mixes", "1x"},         {"", "--thresholds", "16abc"},
+      {"", "--thresholds", "abc"},   {"", "--cores", "4294967298"},
+      {"", "--cores", "0"},         {"", "--llc", "8x"}};
+  for (const Row& row : rows) {
+    const std::string arg = std::string(row.flag) + "=" + row.value;
+    std::string out, err;
+    const int code = cli_exit_code(row.preset, {arg.c_str(), "--json", "-", "--no-render"},
+                                   &out, &err);
+    EXPECT_EQ(code, 2) << arg;
+    EXPECT_EQ(out, "") << arg;
+    EXPECT_NE(err.find(row.flag), std::string::npos) << err;
+    std::string quoted = "'";  // in steps: GCC 12 -O3 -Wrestrict (PR105329)
+    quoted += row.value;
+    quoted += '\'';
+    EXPECT_NE(err.find(quoted), std::string::npos) << err;
+  }
+}
+
+// The pool never outnumbers the cells: a 1-cell sweep at --jobs 64 runs on
+// one worker instead of starting 64 threads.
+TEST(RunnerCli, WorkersNeverOutnumberCells) {
+  std::string out, err;
+  EXPECT_EQ(cli_exit_code("",
+                          {"--schemes", "baseline32", "--mixes", "1", "--insts", "1000",
+                           "--warmup", "200", "--jobs", "64", "--no-render"},
+                          &out, &err),
+            0);
+  EXPECT_NE(err.find("1 cells, 1 ok, 0 failed, 0 resumed (1 worker)"), std::string::npos)
+      << err;
 }
 
 TEST(RunnerCli, CustomCampaignFromOptions) {

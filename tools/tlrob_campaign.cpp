@@ -12,8 +12,8 @@
 //       --insts 20000 --json out.jsonl
 //   tlrob-campaign fig2 --manifest fig2.manifest --resume
 //   tlrob-campaign --list
+//   tlrob-campaign --help      (every option)
 #include <cstdio>
-#include <exception>
 
 #include "runner/cli.hpp"
 
@@ -22,68 +22,22 @@ using namespace tlrob::runner;
 
 namespace {
 
-void print_usage() {
-  std::printf(
-      "usage: tlrob-campaign [preset] [options]\n"
-      "       tlrob-campaign --schemes a,b --thresholds n,m [options]\n"
-      "\n"
-      "options (both --key value and key=value forms are accepted):\n"
-      "  --jobs N         worker threads (0 = hardware concurrency, 1 = serial)\n"
-      "  --insts N        committed-instruction target per run (default 120000)\n"
-      "  --warmup N       warmup commits excluded from statistics (default 60000)\n"
-      "  --json PATH      JSON-lines sink ('-' = stdout)\n"
-      "  --csv PATH       CSV sink ('-' = stdout)\n"
-      "  --manifest PATH  completion journal enabling --resume\n"
-      "  --resume         replay successful cells from the manifest\n"
-      "  --no-render      suppress stdout tables (sink-only run)\n"
-      "  --max-cycles N   per-job cycle cap / timeout (0 = derived bound)\n"
-      "  --seed N         base RNG seed (default 12345)\n"
-      "  --per-job-seeds  derive a distinct deterministic seed per cell\n"
-      "  --schemes LIST   baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive\n"
-      "  --thresholds L   DoD thresholds crossed with the schemes (default 16)\n"
-      "  --mixes LIST     1-based Table 2 mix subset (default: all 11)\n"
-      "  --workload SPEC  explicit per-thread workload list instead of --mixes:\n"
-      "                   comma-separated profile names, trace:<file> (ChampSim\n"
-      "                   format, gzip ok), tracegen:<profile>@<records>[@<seed>],\n"
-      "                   or mix:<n>; thread count follows the list length\n"
-      "  --name NAME      campaign name for custom sweeps\n"
-      "  --cores N        CMP: split each column's threads over N cores\n"
-      "  --llc SPEC       shared LLC kb[:ways[:lat[:mshr]]] (implies a backend)\n"
-      "  --dram SPEC      DRAM channels[:banks[:tcas[:trcd[:trp]]]]\n"
-      "  --sample-interval N\n"
-      "                   interval telemetry every N cycles (0 = off)\n"
-      "  --sample-dir DIR write each job's sample series to DIR\n"
-      "  --list           list the available presets\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts = parse_cli_args(argc, argv);
-
-  if (opts.get_bool("help", false)) {
-    print_usage();
-    return 0;
-  }
+int campaign(const Options& opts) {
   if (opts.get_bool("list", false)) {
+    opts.reject_unread("tlrob-campaign --list");
     std::printf("%-24s %s\n", "preset", "sweep");
     for (const auto& name : preset_names())
       std::printf("%-24s %s\n", name.c_str(), preset_summary(name).c_str());
     return 0;
   }
+  const std::string preset = opts.positional().empty() ? "" : opts.positional().front();
+  if (!preset.empty() && !is_preset(preset))
+    throw OptionError("unknown preset '" + preset + "' (try --list)");
+  return run_from_options(preset, opts);
+}
 
-  std::string preset;
-  if (!opts.positional().empty()) {
-    preset = opts.positional().front();
-    if (!is_preset(preset)) {
-      std::fprintf(stderr, "error: unknown preset '%s' (try --list)\n", preset.c_str());
-      return 2;
-    }
-  }
-  try {
-    return run_from_options(preset, opts);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli(argc, argv, tool_cli("tlrob-campaign"), campaign);
 }

@@ -7,15 +7,15 @@
 // intentional architectural-model change — never to paper over drift from a
 // performance refactor.
 //
-//   tlrob-golden [--dir tests/golden] [--preset NAME ...] [--regen]
+//   tlrob-golden [--dir tests/golden] [--preset fig2,fig4] [--regen]
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/cli.hpp"
 #include "runner/golden.hpp"
 #include "runner/presets.hpp"
 
@@ -32,42 +32,14 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--dir DIR] [--preset NAME ...] [--regen]\n"
-               "  --dir DIR      fixture directory (default tests/golden)\n"
-               "  --preset NAME  restrict to one preset (repeatable)\n"
-               "  --regen        rewrite fixtures instead of checking them\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string dir = "tests/golden";
-  std::vector<std::string> presets;
-  bool regen = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) {
-      dir = argv[++i];
-    } else if (arg == "--preset" && i + 1 < argc) {
-      presets.emplace_back(argv[++i]);
-    } else if (arg == "--regen") {
-      regen = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+int golden(const tlrob::Options& opts) {
+  const std::string dir = opts.get("dir", "tests/golden");
+  std::vector<std::string> presets = opts.get_list("preset");
+  const bool regen = opts.get_bool("regen", false);
+  opts.reject_unread("tlrob-golden");
   if (presets.empty()) presets = preset_names();
-  for (const std::string& name : presets) {
-    if (!is_preset(name)) {
-      std::fprintf(stderr, "unknown preset: %s\n", name.c_str());
-      return 2;
-    }
-  }
+  for (const std::string& name : presets)
+    if (!is_preset(name)) throw tlrob::OptionError("--preset: unknown preset '" + name + "'");
 
   int failures = 0;
   for (const std::string& name : presets) {
@@ -108,4 +80,10 @@ int main(int argc, char** argv) {
     }
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tlrob::run_cli(argc, argv, tool_cli("tlrob-golden"), golden);
 }

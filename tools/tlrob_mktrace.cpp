@@ -10,13 +10,12 @@
 //
 // Output is gzip-compressed when --out ends in .gz (requires zlib), raw
 // records otherwise. The resulting file runs through the campaign CLI as
-// workload=trace:<file>.
+// workload=trace:<file>. `tlrob-mktrace --help` lists the keys.
 #include <cstdio>
-#include <exception>
 #include <string>
 
 #include "common/config.hpp"
-#include "trace/byte_source.hpp"
+#include "runner/cli.hpp"
 #include "trace/champsim.hpp"
 #include "trace/synth.hpp"
 #include "workload/spec_profiles.hpp"
@@ -25,70 +24,35 @@ using namespace tlrob;
 
 namespace {
 
-void print_usage() {
-  std::printf(
-      "usage: tlrob-mktrace --profile NAME --records N --out PATH [--seed N]\n"
-      "\n"
-      "  --profile NAME  synthetic SPEC profile to transcribe (--list to see them)\n"
-      "  --records N     dynamic instructions to emit (one 64-byte record each)\n"
-      "  --out PATH      output file; '.gz' suffix selects gzip compression%s\n"
-      "  --seed N        generator seed (default 1); same inputs => same bytes\n"
-      "  --list          list the available profiles\n",
-      trace::gzip_supported() ? "" : " (unavailable: built without zlib)");
+int mktrace(const Options& opts) {
+  if (opts.get_bool("list", false)) {
+    opts.reject_unread("tlrob-mktrace --list");
+    for (const auto& b : spec_benchmarks()) std::printf("%s\n", b.name.c_str());
+    return 0;
+  }
+
+  const std::string profile = opts.get("profile", "");
+  const u64 records = opts.get_u64("records", 0);
+  const std::string out = opts.get("out", "");
+  const u64 seed = opts.get_u64("seed", 1);
+  opts.reject_unread("tlrob-mktrace");
+  if (profile.empty() || records == 0 || out.empty())
+    throw OptionError("--profile, --out and a non-zero --records are required (see --help)");
+
+  const auto recs = trace::synthesize_records(profile, records, seed);
+  trace::write_trace_file(out, recs);
+
+  u64 hash = trace::kFnvOffsetBasis;
+  for (const auto& r : recs) hash = trace::fnv1a_record(hash, r);
+  std::fprintf(stderr, "%s: %llu records (%s), content hash %016llx\n", out.c_str(),
+               static_cast<unsigned long long>(records),
+               out.size() > 3 && out.compare(out.size() - 3, 3, ".gz") == 0 ? "gzip" : "raw",
+               static_cast<unsigned long long>(hash));
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string tok = argv[i];
-      size_t dashes = 0;
-      while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
-      const std::string key = tok.substr(dashes);
-      if (dashes == 0 || key.find('=') != std::string::npos) {
-        tokens.push_back(key.empty() ? tok : key);
-        continue;
-      }
-      const bool bare = key == "list" || key == "help";
-      if (!bare && i + 1 < argc)
-        tokens.push_back(key + "=" + argv[++i]);
-      else
-        tokens.push_back("--" + key);
-    }
-    const Options opts = Options::from_tokens(tokens);
-
-    if (opts.get_bool("help", false)) {
-      print_usage();
-      return 0;
-    }
-    if (opts.get_bool("list", false)) {
-      for (const auto& b : spec_benchmarks()) std::printf("%s\n", b.name.c_str());
-      return 0;
-    }
-
-    const std::string profile = opts.get("profile", "");
-    const u64 records = opts.get_u64("records", 0);
-    const std::string out = opts.get("out", "");
-    const u64 seed = opts.get_u64("seed", 1);
-    if (profile.empty() || records == 0 || out.empty()) {
-      print_usage();
-      return 2;
-    }
-
-    const auto recs = trace::synthesize_records(profile, records, seed);
-    trace::write_trace_file(out, recs);
-
-    u64 hash = trace::kFnvOffsetBasis;
-    for (const auto& r : recs) hash = trace::fnv1a_record(hash, r);
-    std::fprintf(stderr, "%s: %llu records (%s), content hash %016llx\n", out.c_str(),
-                 static_cast<unsigned long long>(records),
-                 out.size() > 3 && out.compare(out.size() - 3, 3, ".gz") == 0 ? "gzip" : "raw",
-                 static_cast<unsigned long long>(hash));
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  return run_cli(argc, argv, runner::tool_cli("tlrob-mktrace"), mktrace);
 }

@@ -7,17 +7,9 @@
 //   tlrob-trace mix=2 scheme=rrob threshold=16 out=trace.json
 //   tlrob-trace mix=1 sample=500 samples=series.jsonl csv=series.csv
 //
-// Options (key=value / --key value, as everywhere in this repo):
-//   mix=N / positional bench names   workload (default mix=1)
-//   out=PATH       Chrome trace JSON (default trace.json; "-" = stdout)
-//   samples=PATH   interval series, JSON lines
-//   csv=PATH       interval series, CSV
-//   sample=N       sampling period in cycles (default 1000)
-//   profile=0|1    host self-profile to stderr (default 1)
-//   insts= / warmup= / max_cycles= and all sim/config_override.hpp machine
-//   knobs (scheme=, threshold=, policy=, rob1=, rob2=, ...) apply —
-//   including the CMP topology knobs (cores=, llc=, dram=, the same grammar
-//   tlrob-campaign accepts). Any other key exits 2 before simulating.
+// `tlrob-trace --help` lists every key: the workload (mix=N or positional
+// bench names), the sinks, the run length and all the machine knobs
+// simulate takes, including the CMP topology (cores=, llc=, dram=).
 //
 // Every run steps through CmpMachine (one core without a shared backend by
 // default): the Chrome trace carries one process track per core ("core0",
@@ -34,6 +26,7 @@
 
 #include "common/config.hpp"
 #include "obs/chrome_trace.hpp"
+#include "runner/cli.hpp"
 #include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
@@ -59,20 +52,13 @@ bool write_to(const std::string& path, const char* what,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
-
+int trace(const Options& opts) {
   std::vector<Benchmark> benches;
   if (opts.has("mix")) {
-    benches = mix_benchmarks(table2_mix(static_cast<u32>(opts.get_u64("mix", 1))));
+    benches = mix_benchmarks(table2_mix(opts.get_u32("mix", 1)));
   } else {
     for (const std::string& name : opts.positional()) {
-      if (!is_spec_benchmark(name)) {
-        std::fprintf(stderr, "unknown benchmark '%s'\n", name.c_str());
-        return 2;
-      }
+      if (!is_spec_benchmark(name)) throw OptionError("unknown benchmark '" + name + "'");
       benches.push_back(spec_benchmark(name));
     }
   }
@@ -97,13 +83,7 @@ int main(int argc, char** argv) {
   const std::string csv_path = opts.get("csv");
 
   // Every key is read by now: one nothing read is a typo or a retired knob.
-  const std::vector<std::string> unread = opts.unread_keys();
-  if (!unread.empty()) {
-    std::fprintf(stderr, "error: tlrob-trace does not use key%s", unread.size() == 1 ? "" : "s");
-    for (const std::string& key : unread) std::fprintf(stderr, " %s=", key.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  opts.reject_unread("tlrob-trace");
 
   CmpMachine machine(cfg, benches);
   std::vector<obs::ChromeTraceWriter> core_writers(cfg.num_cores);
@@ -135,4 +115,10 @@ int main(int argc, char** argv) {
   if (cfg.telemetry.profile)
     machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_cli(argc, argv, runner::tool_cli("tlrob-trace"), trace);
 }
