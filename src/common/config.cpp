@@ -44,6 +44,12 @@ u64 parse_unsigned(const std::string& what, const std::string& text, u64 max) {
   return value;
 }
 
+bool parse_bool(const std::string& what, const std::string& text) {
+  if (text == "1" || text == "true" || text == "yes" || text == "on") return true;
+  if (text == "0" || text == "false" || text == "no" || text == "off") return false;
+  bad_value(what, "0|1|true|false|yes|no|on|off", text);
+}
+
 Options Options::parse(int argc, const char* const* argv, const std::vector<OptionKey>& keys) {
   Options opts;
   std::map<std::string, bool> is_flag{{"help", true}, {"h", true}};
@@ -113,11 +119,7 @@ double Options::get_double(const std::string& key, double fallback) const {
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
   auto it = find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  bad_value(option_flag(key), "0|1|true|false|yes|no|on|off", v);
+  return it == values_.end() ? fallback : parse_bool(option_flag(key), it->second);
 }
 
 std::vector<std::string> Options::get_list(const std::string& key) const {

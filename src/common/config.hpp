@@ -53,6 +53,10 @@ std::string option_flag(const std::string& key);
 /// overflow are rejected with an OptionError naming `what` and `text`.
 u64 parse_unsigned(const std::string& what, const std::string& text, u64 max = UINT64_MAX);
 
+/// The one boolean parser: exactly 0/1, true/false, yes/no or on/off;
+/// anything else is an OptionError naming `what` and `text`.
+bool parse_bool(const std::string& what, const std::string& text);
+
 class Options {
  public:
   Options() = default;
@@ -80,7 +84,7 @@ class Options {
   u64 get_u64(const std::string& key, u64 fallback, u64 max = UINT64_MAX) const;
   u32 get_u32(const std::string& key, u32 fallback) const;
   double get_double(const std::string& key, double fallback) const;
-  /// Accepts only 0/1, true/false, yes/no and on/off.
+  /// parse_bool's spellings.
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Comma-separated list value ("1,2,5" -> {"1","2","5"}); an absent key

@@ -1,6 +1,6 @@
 // The command lines of the repository's tools, and the front end of the
-// tlrob-campaign binary, the one way to run a preset (`tlrob-campaign fig2`)
-// or a custom sweep.
+// tlrob-campaign binary, the one way to run presets (`tlrob-campaign fig2`,
+// `tlrob-campaign fig2,fig4`, `tlrob-campaign all`) or a custom sweep.
 //
 // Each tool's CliSpec (common/config.hpp) declares its keys once; its main
 // hands the spec to run_cli, which parses argv, prints `--help` from the
@@ -28,11 +28,13 @@ const CliSpec& tool_cli(const std::string& name);
 /// Throws std::invalid_argument on unknown scheme or mix names.
 CampaignSpec custom_campaign(const Options& opts);
 
-/// Runs a campaign described by already-parsed options: a preset when
-/// `preset` is non-empty, otherwise the custom sweep options. Wires up the
-/// json/csv/manifest sinks. Returns a process exit code: 2 (before any cell
-/// runs) when `opts` holds a key the run does not read or a malformed
-/// value, otherwise non-zero when any cell failed.
+/// Runs a campaign described by already-parsed options: the presets
+/// `preset` names (preset_list syntax: one name, a comma list, or `all`,
+/// run in that order in this process) when it is non-empty, otherwise the
+/// custom sweep options. Wires up the json/csv/manifest sinks. Returns a
+/// process exit code: 2 (before any cell runs) when `opts` holds a key the
+/// run does not read, a malformed value, an unknown preset or --csv with
+/// several presets, otherwise non-zero when any cell failed.
 int run_from_options(const std::string& preset, const Options& opts);
 
 }  // namespace tlrob::runner

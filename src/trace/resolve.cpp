@@ -1,5 +1,6 @@
 #include "trace/resolve.hpp"
 
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,13 +54,15 @@ TraceGenSpec parse_tracegen(const std::string& name) {
 }
 
 /// Memo slot for one loaded trace workload: the once_flag serialises the
-/// (expensive) load-and-lower pass, the pointer is written exactly once
-/// under it. A load that throws leaves the once_flag unset, so a later
-/// retry (or another job's attempt) sees the error again instead of a null
-/// workload.
+/// (expensive) load-and-lower pass, the pointer or the load's error is
+/// written exactly once under it, and every caller of a failed load sees
+/// the error again instead of a null workload. The error is caught inside
+/// call_once, never thrown through it: under ThreadSanitizer a call_once
+/// left by an exception stays in progress and the next caller hangs.
 struct WorkloadEntry {
   std::once_flag once;
   std::shared_ptr<const TraceWorkload> workload;
+  std::exception_ptr error;
 };
 
 Mutex workload_mu;
@@ -75,17 +78,22 @@ std::shared_ptr<const TraceWorkload> trace_workload(const std::string& name) {
     entry = slot.get();
   }
   std::call_once(entry->once, [&] {
-    if (has_prefix(name, kTraceGenPrefix)) {
-      const TraceGenSpec spec = parse_tracegen(name);
-      entry->workload =
-          TraceWorkload::from_records(name, synthesize_records(spec.profile, spec.records,
-                                                               spec.seed));
-    } else {
-      // Strip the "trace:" prefix to get the path; from_file() restores it
-      // as the workload name so Benchmark names round-trip through here.
-      entry->workload = TraceWorkload::from_file(name.substr(std::string(kTracePrefix).size()));
+    try {
+      if (has_prefix(name, kTraceGenPrefix)) {
+        const TraceGenSpec spec = parse_tracegen(name);
+        entry->workload = TraceWorkload::from_records(
+            name, synthesize_records(spec.profile, spec.records, spec.seed));
+      } else {
+        // Strip the "trace:" prefix to get the path; from_file() restores it
+        // as the workload name so Benchmark names round-trip through here.
+        entry->workload =
+            TraceWorkload::from_file(name.substr(std::string(kTracePrefix).size()));
+      }
+    } catch (...) {
+      entry->error = std::current_exception();
     }
   });
+  if (entry->error) std::rethrow_exception(entry->error);
   return entry->workload;
 }
 

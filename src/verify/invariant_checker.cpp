@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "verify/checks/checks.hpp"
 
 namespace tlrob {
@@ -35,7 +36,7 @@ AuditConfig default_audit_config() {
     }
     if (const char* abort_env = std::getenv("TLROB_AUDIT_ABORT");
         abort_env != nullptr && *abort_env != '\0')
-      cfg.abort_on_violation = std::string(abort_env) != "0";
+      cfg.abort_on_violation = parse_bool("$TLROB_AUDIT_ABORT", abort_env);
     return cfg;
   }();
   return cached;

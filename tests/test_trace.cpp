@@ -28,6 +28,7 @@ namespace {
 using runner::CampaignResult;
 using runner::CampaignSpec;
 using runner::EngineOptions;
+using runner::forget_cells;
 using runner::JobRecord;
 using runner::JobStatus;
 using runner::run_campaign;
@@ -345,9 +346,16 @@ TEST(TraceCampaign, ByteIdenticalAcrossWorkerCountsAndInvocations) {
   EngineOptions parallel;
   parallel.jobs = 4;
 
-  const std::string first = jsonl_of(run_campaign(spec, serial));
-  const std::string wide = jsonl_of(run_campaign(spec, parallel));
-  const std::string again = jsonl_of(run_campaign(spec, serial));
+  // Each run starts with an empty cell memo: three real simulations.
+  auto fresh_jsonl = [&](const EngineOptions& opts) {
+    forget_cells();
+    const CampaignResult result = run_campaign(spec, opts);
+    EXPECT_EQ(result.reused, 0u);
+    return jsonl_of(result);
+  };
+  const std::string first = fresh_jsonl(serial);
+  const std::string wide = fresh_jsonl(parallel);
+  const std::string again = fresh_jsonl(serial);
   EXPECT_EQ(first, wide);
   EXPECT_EQ(first, again);
   EXPECT_NE(first.find("\"trace.records_decoded\""), std::string::npos);

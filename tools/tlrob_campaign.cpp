@@ -1,11 +1,13 @@
 // tlrob-campaign — the experiment-campaign CLI.
 //
 // Expands a declarative sweep (schemes × thresholds × mixes × run length)
-// or a named preset (fig1..fig7, table2, ablation_*) into independent jobs,
-// executes them on a work-stealing pool, and streams results into
-// structured sinks. Parallel runs are byte-identical to serial ones.
+// or named presets (fig1..fig7, table2, ablation_*; a comma list, or `all`)
+// into independent jobs, executes them on a work-stealing pool, and streams
+// results into structured sinks. Parallel runs are byte-identical to serial
+// ones, and a cell several presets share is simulated once.
 //
 //   tlrob-campaign fig2 --jobs 8 --json fig2.jsonl
+//   tlrob-campaign all --jobs 0 --json results/all.jsonl   (every preset, one process)
 //   tlrob-campaign --schemes rrob,prob --thresholds 8,16 --mixes 1,2
 //       --insts 20000 --warmup 5000 --csv sweep.csv
 //   tlrob-campaign --workload trace:app.champsim.gz,trace:app.champsim.gz
@@ -30,10 +32,7 @@ int campaign(const Options& opts) {
       std::printf("%-24s %s\n", name.c_str(), preset_summary(name).c_str());
     return 0;
   }
-  const std::string preset = opts.positional().empty() ? "" : opts.positional().front();
-  if (!preset.empty() && !is_preset(preset))
-    throw OptionError("unknown preset '" + preset + "' (try --list)");
-  return run_from_options(preset, opts);
+  return run_from_options(opts.positional().empty() ? "" : opts.positional().front(), opts);
 }
 
 }  // namespace
