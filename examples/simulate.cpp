@@ -1,6 +1,7 @@
-// Full simulator driver (the sim-outorder of this repository): run any
-// benchmark combination on any machine configuration and dump every
-// statistic the core collects.
+// Full simulator driver (the sim-outorder of this repository), and the one
+// single-run driver: run any benchmark combination on any machine
+// configuration, dump every statistic the core collects, and capture the
+// run's telemetry (interval series, Chrome trace, host self-profile).
 //
 //   ./simulate [bench names ...] [key=value ...]
 //   ./simulate --help      lists every key (run, machine and telemetry)
@@ -10,9 +11,17 @@
 // for a Table 2 mix. `threads=` defaults to the number of named benchmarks.
 // Every run steps through a CmpMachine (one core without a shared backend
 // by default); the workload list is core-major and cores= splits the
-// machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x 2
-// threads over the same four benchmarks. Pipeline trace / Chrome trace /
-// profile attach to core 0.
+// machine-wide thread count, as tlrob-campaign's --cores does, so
+// `simulate mix=1 cores=2` runs 2 cores x 2 threads over the same four
+// benchmarks and `simulate mix=2 threads=16 cores=4` runs 4 cores x 4
+// threads (the last benchmark fills the extra threads).
+//
+// The sample series is the machine-wide core-merged one. trace_json= writes
+// one Chrome trace for ui.perfetto.dev with a process track per core
+// ("core0", "core1", ...) plus, with a shared backend, a "shared backend"
+// process carrying LLC MSHR-pool occupancy and per-bank DRAM row-state
+// tracks. profile=1 prints the machine-wide host self-profile. Only the
+// trace= pipeline window observes core 0 alone.
 //
 // Examples:
 //   ./simulate mix=1 scheme=rrob threshold=16
@@ -20,6 +29,8 @@
 //   ./simulate mcf threads=1 rob1=128 policy=icount
 //   ./simulate mix=2 scheme=rrob sample=1000 sample_out=series.jsonl
 //       trace_json=trace.json
+//   ./simulate mix=2 threads=16 cores=4 scheme=rrob sample=500
+//       trace_json=cmp_trace.json sample_out=cmp_series.jsonl
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -65,7 +76,7 @@ int simulate(const Options& opts) {
     cfg.rob_second_level = 384;  // Table 1 default when a two-level scheme is on
   // cores= splits the machine-wide thread count (num_threads so far counts
   // the whole workload list), matching tlrob-campaign's --cores semantics.
-  const u32 cores = cfg.num_cores == 0 ? 1 : cfg.num_cores;
+  const u32 cores = cfg.num_cores;
   if (cores > 1) {
     if (cfg.num_threads % cores != 0)
       throw OptionError("threads=" + std::to_string(cfg.num_threads) +
@@ -89,6 +100,9 @@ int simulate(const Options& opts) {
     trace_hi = colon == std::string::npos
                    ? trace_lo + 200
                    : parse_unsigned("--trace", trace_window.substr(colon + 1));
+    if (trace_hi <= trace_lo)
+      throw OptionError("--trace: expected START:END with END > START, got '" + trace_window +
+                        "'");
   }
 
   // --- observability -------------------------------------------------------
@@ -103,8 +117,7 @@ int simulate(const Options& opts) {
   // Every key is read by now: one nothing read is a typo or a retired knob.
   opts.reject_unread("simulate");
   // Built before anything is printed, so a machine it rejects leaves stdout
-  // empty. The observability hooks attach to core 0 (per-core trace files
-  // would interleave unusably).
+  // empty.
   CmpMachine machine(cfg, benches);
 
   std::printf("%s", describe(cfg).c_str());
@@ -114,12 +127,21 @@ int simulate(const Options& opts) {
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  if (cores > 1 && (!trace_window.empty() || !trace_json.empty() || cfg.telemetry.profile))
-    std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
-  SmtCore& core = machine.core(0);
-  if (!trace_window.empty()) core.tracer().attach(&std::cerr, trace_lo, trace_hi);
-  obs::ChromeTraceWriter chrome;
-  if (!trace_json.empty()) core.attach_chrome_trace(&chrome);
+  if (!trace_window.empty()) {
+    if (cores > 1) std::fprintf(stderr, "note: trace= observes core 0 of %u\n", cores);
+    machine.core(0).tracer().attach(&std::cerr, trace_lo, trace_hi);
+  }
+  // One Chrome trace writer per core plus one for the shared backend, merged
+  // into one file after the run.
+  std::vector<obs::ChromeTraceWriter> chrome(cores + 1);
+  std::vector<const obs::ChromeTraceWriter*> chrome_tracks;
+  if (!trace_json.empty()) {
+    std::vector<obs::ChromeTraceWriter*> per_core;
+    for (u32 c = 0; c < cores; ++c) per_core.push_back(&chrome[c]);
+    machine.attach_chrome_trace(per_core, &chrome[cores]);
+    for (const auto& w : chrome) chrome_tracks.push_back(&w);
+    if (machine.shared_memory() == nullptr) chrome_tracks.pop_back();
+  }
   const RunResult r = machine.run(insts, max_cycles, warmup);
 
   // A sink path of "-" means stdout; anything else is a file (created or
@@ -143,8 +165,11 @@ int simulate(const Options& opts) {
   if (!sample_csv.empty())
     sinks_ok &= write_to(sample_csv, [&](std::ostream& os) { r.samples.write_csv(os); });
   if (!trace_json.empty())
-    sinks_ok &= write_to(trace_json, [&](std::ostream& os) { chrome.write(os); });
-  if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
+    sinks_ok &= write_to(trace_json, [&](std::ostream& os) {
+      obs::ChromeTraceWriter::write_merged(os, chrome_tracks);
+    });
+  if (cfg.telemetry.profile)
+    machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
   for (const auto& t : r.threads)
@@ -154,13 +179,17 @@ int simulate(const Options& opts) {
               static_cast<unsigned long long>(r.cycles), r.total_throughput());
 
   if (cfg.rob.scheme != RobScheme::kBaseline) {
+    // rob2.busy_cycles is summed over the cores, each with its own second
+    // level: the denominator is every core's cycles.
+    const u64 busy = run_counter(r, "rob2.busy_cycles");
+    const u64 core_cycles = static_cast<u64>(cores) * r.cycles;
     std::printf("\nsecond level: %llu allocations, busy %llu/%llu cycles (%.1f%%)\n",
                 static_cast<unsigned long long>(run_counter(r, "rob2.allocations")),
-                static_cast<unsigned long long>(run_counter(r, "rob2.busy_cycles")),
-                static_cast<unsigned long long>(r.cycles),
-                r.cycles ? 100.0 * static_cast<double>(run_counter(r, "rob2.busy_cycles")) /
-                               static_cast<double>(r.cycles)
-                         : 0.0);
+                static_cast<unsigned long long>(busy),
+                static_cast<unsigned long long>(core_cycles),
+                core_cycles
+                    ? 100.0 * static_cast<double>(busy) / static_cast<double>(core_cycles)
+                    : 0.0);
   }
   if (r.dod_true.total_samples() > 0)
     std::printf("long-latency loads: %llu, mean DoD %.2f (proxy %.2f)\n",

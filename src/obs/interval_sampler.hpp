@@ -82,8 +82,8 @@ struct IntervalSample {
 };
 
 /// The recorded series plus its period. The core owns one and appends; the
-/// result plumbing (RunResult, campaign records, the tlrob-trace tool) copy
-/// or serialise it.
+/// result plumbing (RunResult, campaign records, simulate's sample_out=)
+/// copy or serialise it.
 class IntervalSeries {
  public:
   IntervalSeries() = default;

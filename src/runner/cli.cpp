@@ -12,23 +12,6 @@
 
 namespace tlrob::runner {
 
-namespace {
-
-/// simulate's and tlrob-trace's keys: the workload and run length, `own`,
-/// then the machine knobs.
-std::vector<OptionKey> single_run_keys(const std::vector<OptionKey>& own) {
-  std::vector<OptionKey> keys = {
-      {"mix", "N", "Table 2 mix (default 1); SPEC profile names instead give one per thread"},
-      {"insts", "N", "committed-instruction target (default 120000)"},
-      {"warmup", "N", "warmup commits excluded from statistics (default 60000)"},
-      {"max_cycles", "N", "cycle cap (0 = derived bound)"}};
-  keys.insert(keys.end(), own.begin(), own.end());
-  keys.insert(keys.end(), machine_option_keys().begin(), machine_option_keys().end());
-  return keys;
-}
-
-}  // namespace
-
 const std::vector<CliSpec>& tool_clis() {
   static const std::vector<CliSpec> clis = {
       {"tlrob-campaign",
@@ -59,22 +42,23 @@ const std::vector<CliSpec>& tool_clis() {
         {"list", "", "list the presets and exit"}},
        1},
       {"simulate", "[bench names ...] [key=value ...]",
-       single_run_keys(
-           {{"stats", "", "dump every counter"},
-            {"trace", "START:END", "pipeline event trace for that cycle window, to stderr"},
-            {"sample", "N", "interval telemetry every N cycles"},
-            {"sample_out", "PATH", "series as JSON lines ('-' = stdout)"},
-            {"sample_csv", "PATH", "series as CSV ('-' = stdout)"},
-            {"trace_json", "PATH", "Chrome trace-event JSON of core 0"},
-            {"profile", "", "host-side per-stage wall-time profile, to stderr"}}),
-       SIZE_MAX},
-      {"tlrob-trace", "[bench names ...] [key=value ...]",
-       single_run_keys(
-           {{"out", "PATH", "Chrome trace JSON (default trace.json; '-' = stdout)"},
-            {"samples", "PATH", "interval series as JSON lines"},
-            {"csv", "PATH", "interval series as CSV"},
-            {"sample", "N", "sampling period in cycles (default 1000)"},
-            {"profile", "", "host self-profile to stderr (default on; profile=0 disables)"}}),
+       [] {
+         std::vector<OptionKey> keys = {
+             {"mix", "N",
+              "Table 2 mix (default 1); SPEC profile names instead give one per thread"},
+             {"insts", "N", "committed-instruction target (default 120000)"},
+             {"warmup", "N", "warmup commits excluded from statistics (default 60000)"},
+             {"max_cycles", "N", "cycle cap (0 = derived bound)"},
+             {"stats", "", "dump every counter"},
+             {"trace", "START:END", "core 0's pipeline events in that cycle window, to stderr"},
+             {"sample", "N", "interval telemetry every N cycles"},
+             {"sample_out", "PATH", "series as JSON lines ('-' = stdout)"},
+             {"sample_csv", "PATH", "series as CSV ('-' = stdout)"},
+             {"trace_json", "PATH", "Chrome trace-event JSON: every core, the shared backend"},
+             {"profile", "", "host-side per-stage wall-time profile, to stderr"}};
+         keys.insert(keys.end(), machine_option_keys().begin(), machine_option_keys().end());
+         return keys;
+       }(),
        SIZE_MAX},
       {"tlrob-mktrace", "--profile NAME --records N --out PATH [--seed N]",
        {{"profile", "NAME", "synthetic SPEC profile to transcribe (--list names them)"},
@@ -129,6 +113,36 @@ ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
   return {prefix + std::to_string(threshold), two_level_config(kind, threshold), 0};
 }
 
+/// `spec` under the run options every campaign takes, preset or custom
+/// sweep: the run length, a --workload replacing its mixes, and the seeding,
+/// cycle-cap and telemetry overrides (an absent option keeps the spec's
+/// value). Throws before anything runs on a workload some column's core
+/// count does not divide.
+CampaignSpec with_run_options(CampaignSpec spec, const Options& opts) {
+  spec.lengths = {{opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)}};
+  const std::string workload = opts.get("workload", "");
+  if (!workload.empty()) {
+    const Mix mix = trace::workload_mix(workload);
+    // The workload list sets the thread count: a 2-entry trace mix runs a
+    // 2-thread machine under every column. It is core-major: an N-core
+    // column splits it into N equal per-core thread groups.
+    for (auto& c : spec.columns) {
+      if (mix.benchmarks.size() % c.config.num_cores != 0)
+        throw std::invalid_argument("workload size " + std::to_string(mix.benchmarks.size()) +
+                                    " not divisible by cores=" +
+                                    std::to_string(c.config.num_cores));
+      c.config.num_threads = static_cast<u32>(mix.benchmarks.size() / c.config.num_cores);
+    }
+    spec.mixes = {mix};
+  }
+  spec.seed = opts.get_u64("seed", spec.seed);
+  spec.per_job_seeds = opts.get_bool("per_job_seeds", spec.per_job_seeds);
+  spec.max_cycles = opts.get_u64("max_cycles", spec.max_cycles);
+  spec.sample_interval = opts.get_u64("sample_interval", spec.sample_interval);
+  spec.sample_dir = opts.get("sample_dir", spec.sample_dir);
+  return spec;
+}
+
 }  // namespace
 
 CampaignSpec custom_campaign(const Options& opts) {
@@ -155,47 +169,24 @@ CampaignSpec custom_campaign(const Options& opts) {
   for (auto& c : spec.columns) {
     const u32 cores = opts.get_u32("cores", c.config.num_cores);
     if (cores == 0) throw OptionError("--cores: expected at least 1, got '0'");
-    if (cores > 1) {
-      if (c.config.num_threads % cores != 0)
-        throw std::invalid_argument("threads=" + std::to_string(c.config.num_threads) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads /= cores;
-    }
+    if (c.config.num_threads % cores != 0)
+      throw std::invalid_argument("threads=" + std::to_string(c.config.num_threads) +
+                                  " not divisible by cores=" + std::to_string(cores));
+    c.config.num_threads /= cores;
     c.config.num_cores = cores;
     if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
     if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
   }
 
-  const std::string workload = opts.get("workload", "");
   const std::vector<u32> mix_ids = opts.get_u32_list("mixes");
-  if (!workload.empty()) {
-    if (!mix_ids.empty())
-      throw std::invalid_argument("--workload and --mixes are mutually exclusive");
-    const Mix mix = trace::workload_mix(workload);
-    // The workload list sets the thread count: a 2-entry trace mix runs a
-    // 2-thread machine under every column. On a CMP the list is core-major
-    // and must divide evenly into per-core thread counts.
-    for (auto& c : spec.columns) {
-      const u32 cores = c.config.num_cores == 0 ? 1 : c.config.num_cores;
-      if (mix.benchmarks.size() % cores != 0)
-        throw std::invalid_argument("workload size " + std::to_string(mix.benchmarks.size()) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads = static_cast<u32>(mix.benchmarks.size() / cores);
-    }
-    spec.mixes = {mix};
-  } else if (mix_ids.empty()) {
+  if (!opts.get("workload").empty() && !mix_ids.empty())
+    throw std::invalid_argument("--workload and --mixes are mutually exclusive");
+  if (mix_ids.empty()) {
     spec.mixes = table2_mixes();
   } else {
     for (const u32 id : mix_ids) spec.mixes.push_back(table2_mix(id));
   }
-
-  spec.lengths = {{opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)}};
-  spec.seed = opts.get_u64("seed", spec.seed);
-  spec.per_job_seeds = opts.get_bool("per_job_seeds", false);
-  spec.max_cycles = opts.get_u64("max_cycles", 0);
-  spec.sample_interval = opts.get_u64("sample_interval", 0);
-  spec.sample_dir = opts.get("sample_dir", "");
-  return spec;
+  return with_run_options(std::move(spec), opts);
 }
 
 // A function-try-block: an option error anywhere in the run — a malformed
@@ -213,6 +204,8 @@ int run_from_options(const std::string& preset, const Options& opts) try {
   const u32 jobs = WorkStealingPool::resolve_threads(opts.get_u32("jobs", 0));
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
+  if (resume && manifest_path.empty())
+    throw OptionError("--resume: needs --manifest, the journal it replays");
 
   const std::vector<std::string> presets =
       preset.empty() ? std::vector<std::string>{} : preset_list(preset);
@@ -224,30 +217,14 @@ int run_from_options(const std::string& preset, const Options& opts) try {
   if (opts.has("sample_dir") && presets.size() > 1)
     throw OptionError("--sample-dir: takes one preset, got '" + preset + "'");
 
-  PresetOptions popts;
-  CampaignSpec spec;
-  if (!preset.empty()) {
-    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
-    popts.jobs = jobs;
-    popts.manifest_path = manifest_path;
-    popts.resume = resume;
-    popts.render = render;
-    popts.sample_interval = opts.get_u64("sample_interval", 0);
-    popts.sample_dir = opts.get("sample_dir", "");
-    popts.workload = opts.get("workload", "");
-    if (opts.has("seed")) popts.seed = opts.get_u64("seed", 0);
-    popts.per_job_seeds = opts.get_bool("per_job_seeds", false);
-    popts.max_cycles = opts.get_u64("max_cycles", 0);
-  } else {
-    spec = custom_campaign(opts);
-  }
-
+  // One campaign per named preset, or the one custom sweep, each with the
+  // run options applied, all built before the first one runs: a workload
+  // that one of them cannot split exits 2 with nothing written.
+  std::vector<CampaignSpec> specs;
+  for (const std::string& name : presets)
+    specs.push_back(with_run_options(preset_campaign(name, {}), opts));
+  if (presets.empty()) specs.push_back(custom_campaign(opts));
   opts.reject_unread(preset.empty() ? "a custom sweep" : "preset " + preset);
-
-  // Every preset's campaign is built before the first one runs, so a
-  // workload that one of them cannot split exits 2 with nothing written.
-  std::vector<CampaignSpec> preset_specs;
-  for (const std::string& name : presets) preset_specs.push_back(preset_spec(name, popts));
 
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
@@ -271,36 +248,32 @@ int run_from_options(const std::string& preset, const Options& opts) try {
   if (json) sinks.push_back(open_sink(json_path, /*as_csv=*/false));
   if (csv) sinks.push_back(open_sink(csv_path, /*as_csv=*/true));
 
-  auto summary = [](const std::string& name, const CampaignResult& result) {
-    std::cerr << "campaign " << name << ": " << result.records.size() << " cells, "
-              << result.ok << " ok, " << result.failed << " failed, " << result.resumed
-              << " resumed, " << result.reused << " reused (" << result.workers << " worker"
-              << (result.workers == 1 ? "" : "s") << ")\n";
-    return result.failed > 0;
-  };
-
-  if (preset.empty()) {
+  // Campaigns run one after another in one process, so the cell memo
+  // simulates a cell that several presets share once; each campaign's
+  // records reach the sinks in its own expansion order, as in a run of it
+  // alone.
+  bool failed = false;
+  for (size_t i = 0; i < specs.size(); ++i) {
     EngineOptions eng;
     eng.jobs = jobs;
     eng.manifest_path = manifest_path;
-    eng.resume = resume;
-    FtTableSink table(stdout);
-    if (render) eng.sinks.push_back(&table);
-    for (ResultSink* s : sinks) eng.sinks.push_back(s);
-    return summary(spec.name, run_campaign(spec, eng)) ? 1 : 0;
-  }
-
-  // Presets run one after another in one process, so the cell memo
-  // simulates a cell that several presets share once; each preset's records
-  // reach the sinks in its own expansion order, as in a run of it alone.
-  popts.extra_sinks = sinks;
-  bool failed = false;
-  for (size_t i = 0; i < presets.size(); ++i) {
-    failed |= summary(presets[i], run_preset(presets[i], preset_specs[i], popts));
-    // Later presets append to the journal the first one opened. Resuming
+    // Later campaigns append to the journal the first one opened. Resuming
     // replays nothing of it: job_key holds the campaign, and no preset is
     // named twice.
-    popts.resume = true;
+    eng.resume = resume || i > 0;
+    // A custom sweep renders the untitled FT table and no epilogue.
+    const Rendering rendering = presets.empty() ? Rendering{} : preset_rendering(presets[i]);
+    FtTableSink table(stdout, rendering.title == nullptr ? "" : rendering.title);
+    if (render && rendering.title != nullptr) eng.sinks.push_back(&table);
+    eng.sinks.insert(eng.sinks.end(), sinks.begin(), sinks.end());
+
+    const CampaignResult result = run_campaign(specs[i], eng);
+    if (render && rendering.epilogue != nullptr) rendering.epilogue(result, specs[i], stdout);
+    std::cerr << "campaign " << specs[i].name << ": " << result.records.size() << " cells, "
+              << result.ok << " ok, " << result.failed << " failed, " << result.resumed
+              << " resumed, " << result.reused << " reused (" << result.workers << " worker"
+              << (result.workers == 1 ? "" : "s") << ")\n";
+    failed |= result.failed > 0;
   }
   return failed ? 1 : 0;
 } catch (const OptionError& e) {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/config.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/experiment.hpp"
 #include "trace/resolve.hpp"
 #include "workload/spec_profiles.hpp"
@@ -191,7 +190,7 @@ struct Preset {
   const char* title;  // FT table heading (nullptr = no FT table)
   const char* summary;
   CampaignSpec (*make)(const RunLengthSpec&);
-  void (*epilogue)(const CampaignResult&, const CampaignSpec&, std::FILE*);
+  decltype(Rendering::epilogue) epilogue;
 };
 
 const Preset kPresets[] = {
@@ -417,44 +416,9 @@ CampaignSpec preset_campaign(const std::string& name, const RunLengthSpec& lengt
   return find_preset(name).make(length);
 }
 
-CampaignSpec preset_spec(const std::string& name, const PresetOptions& opts) {
-  CampaignSpec spec = find_preset(name).make(opts.length);
-  if (!opts.workload.empty()) {
-    const Mix mix = trace::workload_mix(opts.workload);
-    // Core-major assignment: an N-core column splits the workload list into
-    // N equal per-core thread groups.
-    for (auto& c : spec.columns) {
-      const u32 cores = c.config.num_cores == 0 ? 1 : c.config.num_cores;
-      if (mix.benchmarks.size() % cores != 0)
-        throw std::invalid_argument("workload size " + std::to_string(mix.benchmarks.size()) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads = static_cast<u32>(mix.benchmarks.size() / cores);
-    }
-    spec.mixes = {mix};
-  }
-  spec.sample_interval = opts.sample_interval;
-  spec.sample_dir = opts.sample_dir;
-  if (opts.seed) spec.seed = *opts.seed;
-  if (opts.per_job_seeds) spec.per_job_seeds = true;
-  if (opts.max_cycles != 0) spec.max_cycles = opts.max_cycles;
-  return spec;
-}
-
-CampaignResult run_preset(const std::string& name, const CampaignSpec& spec,
-                          const PresetOptions& opts) {
+Rendering preset_rendering(const std::string& name) {
   const Preset& preset = find_preset(name);
-  EngineOptions eng;
-  eng.jobs = WorkStealingPool::resolve_threads(opts.jobs);
-  eng.manifest_path = opts.manifest_path;
-  eng.resume = opts.resume;
-
-  FtTableSink table(opts.out, preset.title == nullptr ? "" : preset.title);
-  if (opts.render && preset.title != nullptr) eng.sinks.push_back(&table);
-  for (ResultSink* sink : opts.extra_sinks) eng.sinks.push_back(sink);
-
-  CampaignResult result = run_campaign(spec, eng);
-  if (opts.render && preset.epilogue != nullptr) preset.epilogue(result, spec, opts.out);
-  return result;
+  return {preset.title, preset.epilogue};
 }
 
 }  // namespace tlrob::runner

@@ -65,18 +65,14 @@ def rows(name, tmp):
             (["mix=99"], 2, ["99"]),
             (["stats=maybe"], 2, ["--stats", "'maybe'"]),
             (["trace=abc"], 2, ["--trace", "'abc'"]),
+            (["trace=50:10"], 2, ["--trace", "'50:10'"]),
+            (["sample=abc"], 2, ["--sample", "'abc'"]),
+            (["threads=4294967296"], 2, ["--threads", "4294967296"]),
+            (["policy=bogus"], 2, ["bogus"]),
             (["cores=0"], 2, ["--cores", "'0'"]),
             (["llc=8x"], 2, ["--llc", "'8x'"]),
             (["notabench"], 2, ["notabench"]),
             (["-h"], 0, ["usage: simulate"]),
-        ],
-        "tlrob-trace": [
-            (["sed=7"], 2, ["sed="]),
-            (["sample=abc"], 2, ["--sample", "'abc'"]),
-            (["threads=4294967296"], 2, ["--threads", "4294967296"]),
-            (["sample=5", "--sample", "6"], 2, ["--sample"]),
-            (["policy=bogus"], 2, ["bogus"]),
-            (["mix=99"], 2, ["99"]),
         ],
         "tlrob-campaign": [
             (["fig1", "--sed", "7"], 2, ["sed="]),
@@ -91,6 +87,8 @@ def rows(name, tmp):
             (["--mixes="], 2, ["--mixes", "''"]),
             (["--workload", "tracegen:art@10x"], 2, ["'10x'"]),
             (["--resume=maybe"], 2, ["--resume", "'maybe'"]),
+            (["fig1", "--resume", "--insts", "1000", "--warmup", "500"], 2,
+             ["--resume", "--manifest"]),
             (["fig1", "fig2"], 2, ["'fig2'"]),
             (["fig2,fig4", "--csv", "-"], 2, ["--csv", "'fig2,fig4'"]),
             (["fig2,fig4", "--sample-dir", tmp], 2, ["--sample-dir", "'fig2,fig4'"]),

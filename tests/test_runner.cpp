@@ -3,6 +3,7 @@
 // serial/parallel bit-identity, failure isolation, and manifest resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -673,6 +674,41 @@ TEST(RunnerCli, CustomSweepAcceptsItsOwnOptions) {
                           &out),
             0);
   EXPECT_NE(out.find("\"llc.accesses\""), std::string::npos) << out;
+}
+
+// A preset is a named sweep: the custom sweep over fig2's columns gives
+// fig2's records but for the campaign name, and takes the run options the
+// same way.
+TEST(RunnerCli, CustomSweepOverAPresetsColumnsGivesItsRecords) {
+  auto records = [](const std::string& preset, std::vector<const char*> args) {
+    args.insert(args.end(), {"--json", "-", "--no-render", "--insts", "1000", "--warmup",
+                             "200", "--jobs", "2"});
+    forget_cells();  // both sides are simulations, not memo hits
+    std::string out;
+    EXPECT_EQ(cli_exit_code(preset, args, &out), 0);
+    return out;
+  };
+  auto as_fig2 = [](std::string out) {
+    const std::string custom = "\"campaign\":\"custom\"";
+    for (size_t at = out.find(custom); at != std::string::npos; at = out.find(custom, at))
+      out.replace(at, custom.size(), "\"campaign\":\"fig2\"");
+    return out;
+  };
+  const std::vector<const char*> sweep = {"--schemes", "baseline32,baseline128,rrob",
+                                          "--thresholds", "16"};
+  const std::string fig2 = records("fig2", {});
+  ASSERT_EQ(std::count(fig2.begin(), fig2.end(), '\n'), 33);
+  EXPECT_EQ(as_fig2(records("", sweep)), fig2);
+
+  const std::vector<const char*> run = {"--workload", "art,mcf", "--seed", "7",
+                                        "--max-cycles", "900000"};
+  std::vector<const char*> sweep_run = sweep;
+  sweep_run.insert(sweep_run.end(), run.begin(), run.end());
+  const std::string fig2_run = records("fig2", run);
+  ASSERT_EQ(std::count(fig2_run.begin(), fig2_run.end(), '\n'), 3);
+  EXPECT_NE(fig2_run.find("\"seed\":7,"), std::string::npos) << fig2_run;
+  EXPECT_NE(fig2_run.find("\"max_cycles\":900000,"), std::string::npos) << fig2_run;
+  EXPECT_EQ(as_fig2(records("", sweep_run)), fig2_run);
 }
 
 // A malformed value exits 2, naming the key and value, before any cell runs.

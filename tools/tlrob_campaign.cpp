@@ -3,8 +3,10 @@
 // Expands a declarative sweep (schemes × thresholds × mixes × run length)
 // or named presets (fig1..fig7, table2, ablation_*; a comma list, or `all`)
 // into independent jobs, executes them on a work-stealing pool, and streams
-// results into structured sinks. Parallel runs are byte-identical to serial
-// ones, and a cell several presets share is simulated once.
+// results into structured sinks. A preset is a named sweep: both take the
+// same run options and run through the same loop (runner/cli.hpp). Parallel
+// runs are byte-identical to serial ones, and a cell several presets share
+// is simulated once. Single runs and their telemetry capture are simulate's.
 //
 //   tlrob-campaign fig2 --jobs 8 --json fig2.jsonl
 //   tlrob-campaign all --jobs 0 --json results/all.jsonl   (every preset, one process)
